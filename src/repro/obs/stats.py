@@ -1,12 +1,10 @@
-"""Shared report math for the serving replay loops.
+"""Shared report math for the serving replay loop.
 
-``RequestSimulator`` builds the same p50/p95/window-p95/utilization
-blocks in its fast loop and its scheduled tenancy loop, and
-``build_tenant_reports`` repeats the percentile pair per tenant.  These
-helpers are the single home of that arithmetic — drop-in equivalents of
-the inline blocks they replaced (same ``np.percentile`` defaults, same
-empty-input zeros), regression-pinned by the simulator tests that
-compare fast-loop and scheduled-loop reports.
+``RequestSimulator`` builds its p50/p95/window-p95/utilization blocks
+here, and ``build_tenant_reports`` repeats the percentile pair per
+tenant.  These helpers are the single home of that arithmetic (plain
+``np.percentile`` defaults, zeros for empty input), regression-pinned by
+the simulator tests that compare labelled and unlabelled replays.
 """
 
 from __future__ import annotations
@@ -39,9 +37,8 @@ def event_window_p95(
 
     The "window" is the span of lifecycle events during a replay — the
     stretch where a rollout or drain was in flight.  ``served_mask``
-    restricts to requests that actually completed (the scheduled loop
-    passes its OK|degraded mask; the fast loop pre-slices to the served
-    prefix and omits it).
+    restricts to requests that actually completed (the replay passes its
+    OK|degraded mask); without it every request counts.
     """
     in_window = (arrivals >= lo) & (arrivals <= hi)
     if served_mask is not None:

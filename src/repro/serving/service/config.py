@@ -77,7 +77,8 @@ class ServingConfig:
         single policy, or a prebuilt table).  When set, the service
         enforces per-tenant rate caps on its data plane and runs the
         weighted-fair scheduled replay for tenant-labelled traces.
-        ``None`` (default) serves single-tenant with zero overhead.
+        ``None`` (default) serves single-tenant: no admission on the data
+        plane, and every replay is one default arrival-order flow.
     cache:
         Optional heat-aware factor cache — a
         :class:`~repro.serving.cache.config.CacheConfig` or a dict of

@@ -86,7 +86,8 @@ class RecommenderService:
         envelopes (or ``degraded`` reduced-``k`` answers when the policy
         allows) instead of serving — and :meth:`simulate` runs the
         scheduled weighted-fair replay for tenant-labelled traces.
-        ``None`` keeps the service single-tenant with zero overhead.
+        ``None`` keeps the service single-tenant: no admission on the
+        data plane, and every replay is one default arrival-order flow.
     """
 
     def __init__(

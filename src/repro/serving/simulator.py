@@ -13,24 +13,24 @@ hardware.
 
 Traces may additionally be *tenant-labelled* (``QueryTrace.tenants``,
 built with :meth:`QueryTrace.multi_tenant` / :meth:`QueryTrace.merge`).
-When the simulator is also given a
-:class:`~repro.serving.tenancy.TenantPolicyTable`, the replay runs a
-scheduled admission stage in front of the router: per-tenant token
-buckets enforce rate caps, a start-time weighted-fair-queueing clock
-orders dispatch so backlogged tenants share capacity by weight, and
-overload is *shed* (deadline blown, cap exceeded, queue overflow) or
-*degraded* (reduced-``k``) per policy instead of queueing unboundedly.
-Outcomes land in :class:`TrafficReport.per_tenant` as one
+Every replay runs the same loop: admission, window fill, overload
+action, grouped dispatch.  When the simulator is also given a
+:class:`~repro.serving.tenancy.TenantPolicyTable`, each tenant is its own
+flow: per-tenant token buckets enforce rate caps, a start-time
+weighted-fair-queueing clock orders dispatch so backlogged tenants share
+capacity by weight, and overload is *shed* (deadline blown, cap
+exceeded, queue overflow) or *degraded* (reduced-``k``) per policy
+instead of queueing unboundedly.  Outcomes land in
+:class:`TrafficReport.per_tenant` as one
 :class:`~repro.serving.tenancy.TenantReport` per tenant.  Without a
-policy table the original unscheduled loop runs untouched — tenancy is
-zero-cost when unconfigured.
+policy table (or without labels) the whole trace is one default flow
+under the trivial policy — plain FIFO windows — and labels only feed
+the per-tenant report.
 """
 
 from __future__ import annotations
 
-import heapq
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
@@ -42,10 +42,12 @@ from repro.obs.stats import event_window_p95, percentile_summary, utilization
 from repro.serving.tenancy import (
     DEFAULT_TENANT,
     STATUS_DEGRADED,
+    STATUS_DROPPED,
     STATUS_OK,
     STATUS_SHED_CAP,
     STATUS_SHED_DEADLINE,
     STATUS_SHED_QUEUE,
+    TenantPolicy,
     TenantPolicyTable,
     TenantScheduler,
     build_tenant_reports,
@@ -432,6 +434,53 @@ def _publish_report(report: TrafficReport, served: np.ndarray, tenants: np.ndarr
         registry.gauge("serve.utilization", replica=f"replica:{r}").set(util)
 
 
+class _Flow:
+    """One tenant's requests on the replay timeline.
+
+    ``members`` lists the tenant's requests in arrival order, the first
+    ``admitted`` of which have been through admission.  ``idx``/``tag``
+    hold the admitted requests with their weighted-fair-queueing finish
+    tags; ``[head, tail)`` is still waiting.  Within a flow the
+    ``(tag, idx)`` keys increase, so merging the flows' heads by that key
+    dispatches in exactly the order one global priority queue would.
+    """
+
+    __slots__ = ("name", "policy", "members", "admitted", "finish", "idx", "tag", "head", "tail")
+
+    def __init__(self, name: str, policy: TenantPolicy, members: np.ndarray):
+        self.name = name
+        self.policy = policy
+        self.members = members
+        self.admitted = 0
+        self.finish = 0.0
+        self.idx = np.empty(members.size, dtype=np.intp)
+        self.tag = np.empty(members.size, dtype=np.float64)
+        self.head = self.tail = 0
+
+    @property
+    def backlog(self) -> int:
+        return self.tail - self.head
+
+    def key(self) -> tuple:
+        """Dispatch key of the flow's oldest waiting request."""
+        return self.tag[self.head], self.idx[self.head]
+
+    def enqueue(self, ids: np.ndarray, virtual: float) -> None:
+        """Stamp and queue admitted requests (see :meth:`TenantScheduler.stamp`).
+
+        Each tag is the previous one plus ``1 / weight``, starting from
+        the later of the virtual clock and the flow's last finish; the
+        sequential cumsum yields the same floats as stamping one by one.
+        """
+        steps = np.full(ids.size + 1, 1.0 / self.policy.weight)
+        steps[0] = max(virtual, self.finish)
+        end = self.tail + ids.size
+        self.idx[self.tail : end] = ids
+        self.tag[self.tail : end] = np.cumsum(steps)[1:]
+        self.tail = end
+        self.finish = float(self.tag[end - 1])
+
+
 class RequestSimulator:
     """Replays a :class:`QueryTrace` through a store in batched windows.
 
@@ -459,15 +508,15 @@ class RequestSimulator:
     policies:
         Optional tenant policy table (anything
         :meth:`~repro.serving.tenancy.TenantPolicyTable.coerce` accepts).
-        Combined with a tenant-labelled trace it switches the replay to
-        the scheduled loop: token-bucket caps, WFQ dispatch order,
-        deadline shedding and reduced-``k`` degradation.  ``None`` keeps
-        the original unscheduled loop byte-for-byte.
+        Combined with a tenant-labelled trace it makes every tenant a
+        flow of its own: token-bucket caps, WFQ dispatch order,
+        deadline shedding and reduced-``k`` degradation.  ``None`` (or
+        an unlabelled trace) replays one default flow in arrival order.
     max_pending:
-        Bound on the admitted-but-undispatched queue under the scheduled
-        loop.  On overflow the lowest-priority tenant's newest request
-        is shed (typed ``shed`` outcome) — the backpressure that keeps
-        an overloaded replay from queueing unboundedly.
+        Bound on the admitted-but-undispatched queue.  On overflow the
+        lowest-priority tenant's newest request is shed (typed ``shed``
+        outcome) — the backpressure that keeps an overloaded replay
+        from queueing unboundedly.
     """
 
     def __init__(
@@ -506,12 +555,17 @@ class RequestSimulator:
         remaining queries are *dropped* and counted in the report.
         Events scheduled past the last arrival fire when the trace ends.
 
-        A tenant-labelled trace plus a configured policy table runs the
-        scheduled loop instead (see the class docstring); either one
-        missing keeps the original fast path.
+        Each window runs four steps.  *Admission*: arrivals up to the
+        window's close pass their tenant's token bucket (fail → ``shed``,
+        or flagged degraded when the policy has a ``degrade_k``) and
+        queue-length limit, then join their flow with a WFQ finish tag.
+        *Window fill*: the flows' heads merge in tag order up to
+        ``max_batch`` — a single flow is plain FIFO.  *Overload action*:
+        a request whose queueing delay exceeds its deadline is shed;
+        past ``degrade_after`` of it, it is served at reduced ``k``.
+        *Grouped dispatch*: the window is served as one batch per
+        effective ``k`` (full ``k`` first) on the routed replica.
         """
-        if self.policies is not None and trace.tenants is not None:
-            return self._run_scheduled(trace, events)
         backend = self.store
         replicas = list(backend.serving_units())
         backend.reset_routing()
@@ -519,172 +573,21 @@ class RequestSimulator:
         cache_before = _cache_snapshot(replicas)
         arrivals, users = trace.arrivals, trace.users
         n = trace.n_requests
+        # Labels schedule only together with a policy table; otherwise the
+        # trace is one default flow and labels feed the report alone.
+        table = self.policies if trace.tenants is not None else None
+        if table is None:
+            flows = [_Flow(DEFAULT_TENANT, TenantPolicy(DEFAULT_TENANT), np.arange(n))]
+            codes = np.zeros(n, dtype=np.intp)
+        else:
+            names, codes = np.unique(trace.tenants, return_inverse=True)
+            flows = [
+                _Flow(str(name), table.policy_for(str(name)), np.flatnonzero(codes == code))
+                for code, name in enumerate(names)
+            ]
+        scheduler = TenantScheduler(table if table is not None else TenantPolicyTable())
+        reduced_k = np.array([min(self.k, flow.policy.degrade_k or self.k) for flow in flows])
         pending = sorted(events, key=lambda event: event.time)
-        next_event = 0
-        latencies = np.empty(n, dtype=np.float64)
-        server_free = [0.0] * n_replicas
-        replica_busy = [0.0] * n_replicas
-        replica_queries = [0] * n_replicas
-        version_queries: dict[str, int] = {}
-        service_total = 0.0
-        n_batches = 0
-        i = 0
-        n_served = n
-        obs_on = obs.enabled()
-        tracer = obs.get_tracer()
-        wall_start = time.perf_counter()
-        while i < n:
-            # Apply lifecycle events the clock has reached.
-            while next_event < len(pending) and pending[next_event].time <= arrivals[i]:
-                pending[next_event].action()
-                next_event += 1
-            active = backend.active_indices()
-            # Nothing in rotation: fast-forward to the event that will
-            # change that, or drop the rest of the trace.
-            while not active and next_event < len(pending):
-                pending[next_event].action()
-                next_event += 1
-                active = backend.active_indices()
-            if not active:
-                n_served = i
-                break
-            # Collect the window: everything that has arrived by the time
-            # the window closes (deadline or first server availability)
-            # joins, capped at max_batch.
-            free_min = min(server_free[r] for r in active)
-            horizon = max(arrivals[i] + self.window_s, free_min)
-            j = i
-            while j < n and j - i < self.max_batch and arrivals[j] <= horizon:
-                j += 1
-            if j - i == self.max_batch:
-                dispatch = max(arrivals[j - 1], free_min)
-            else:
-                dispatch = horizon
-            # Events due before the dispatch moment take effect now, so a
-            # replica drained while the window was collecting is not routed
-            # to (re-enter the loop if the rotation emptied).
-            fired = False
-            while next_event < len(pending) and pending[next_event].time <= dispatch:
-                pending[next_event].action()
-                next_event += 1
-                fired = True
-            if fired:
-                active = backend.active_indices()
-                if not active:
-                    continue
-            # Route on outstanding work at dispatch time; a load-blind
-            # policy may pick a replica that is still busy, in which case
-            # the batch queues behind it (that queueing delay is exactly
-            # what separates the routing policies).
-            loads = [max(0.0, server_free[r] - dispatch) for r in active]
-            choice = active[backend.route_among(loads)]
-            replica = replicas[choice]
-            before = replica.stats.simulated_seconds
-            replica.recommend_batch(users[i:j], k=self.k, exclude=self.exclude)
-            service = replica.stats.simulated_seconds - before
-            done = max(dispatch, server_free[choice]) + service
-            latencies[i:j] = done - arrivals[i:j]
-            server_free[choice] = done
-            replica_busy[choice] += service
-            replica_queries[choice] += j - i
-            version = replica.version
-            version_queries[version] = version_queries.get(version, 0) + (j - i)
-            service_total += service
-            n_batches += 1
-            if obs_on:
-                tracer.add_span(
-                    f"batch[{j - i}]",
-                    start=done - service,
-                    end=done,
-                    category="request",
-                    process="serve",
-                    track=f"replica:{choice}",
-                    n=j - i,
-                    version=version,
-                )
-            i = j
-        # Late events (scheduled past the last arrival) still apply, so a
-        # rollout that outlives the trace completes instead of wedging the
-        # cluster half-drained.
-        while next_event < len(pending):
-            pending[next_event].action()
-            next_event += 1
-        wall = time.perf_counter() - wall_start
-        served = latencies[:n_served]
-        makespan = max(server_free) - float(arrivals[0]) if n_served else 0.0
-        window_queries = 0
-        window_p95 = 0.0
-        if pending and n_served:
-            lo, hi = pending[0].time, pending[-1].time
-            window_queries, window_p95 = event_window_p95(arrivals[:n_served], served, lo, hi)
-        per_tenant: dict = {}
-        if trace.tenants is not None:
-            # Unscheduled replay of a labelled trace: everything served in
-            # arrival order, tail dropped — report it per tenant anyway.
-            status = np.zeros(n, dtype=np.int8)
-            status[:n_served] = STATUS_OK
-            per_tenant = build_tenant_reports(trace.tenants, status, latencies, makespan, self.policies)
-        p50, p95, lat_max = percentile_summary(served)
-        report = TrafficReport(
-            label=trace.label,
-            n_requests=n,
-            n_batches=n_batches,
-            mean_batch_size=n_served / n_batches if n_batches else 0.0,
-            makespan_s=makespan,
-            throughput_qps=n_served / makespan if makespan > 0 else float("inf"),
-            service_seconds=service_total,
-            latency_p50_s=p50,
-            latency_p95_s=p95,
-            latency_max_s=lat_max,
-            wall_seconds=wall,
-            n_replicas=n_replicas,
-            router=backend.routing_label(),
-            per_replica_queries=tuple(replica_queries),
-            per_replica_busy_s=tuple(replica_busy),
-            per_replica_utilization=utilization(replica_busy, makespan),
-            per_version_queries=version_queries,
-            n_dropped=n - n_served,
-            n_events=len(pending),
-            window_queries=window_queries,
-            window_p95_s=window_p95,
-            per_tenant=per_tenant,
-            cache=_cache_delta(replicas, cache_before),
-        )
-        if obs_on:
-            tenants = trace.tenants[:n_served] if trace.tenants is not None else None
-            _publish_report(report, served, tenants)
-        return report
-
-    # ------------------------------------------------------------------ #
-    # scheduled replay: admission caps + WFQ dispatch + overload shedding
-    # ------------------------------------------------------------------ #
-    def _run_scheduled(self, trace: QueryTrace, events: Sequence[LifecycleEvent]) -> TrafficReport:
-        """The tenant-aware replay loop.
-
-        Same window mechanics as the fast path, with an admission stage
-        in between: arrivals pass their tenant's token bucket (fail →
-        ``shed`` immediately, or flagged for degraded service when the
-        policy has a ``degrade_k``), join a WFQ heap keyed by virtual
-        finish tags, and windows are filled in tag order instead of
-        arrival order — so a backlogged heavy tenant cannot starve a
-        light one.  At dispatch a request whose queueing delay exceeds
-        its deadline is shed; past ``degrade_after`` of the deadline it
-        is served at the policy's reduced ``k``.  For a single tenant
-        with a trivial policy, tag order degenerates to FIFO and this
-        loop reproduces the fast path's windows — and therefore its
-        aggregate report — exactly.
-        """
-        backend = self.store
-        table = self.policies
-        assert table is not None and trace.tenants is not None
-        scheduler = TenantScheduler(table)
-        replicas = list(backend.serving_units())
-        backend.reset_routing()
-        n_replicas = len(replicas)
-        cache_before = _cache_snapshot(replicas)
-        arrivals, users, tenants = trace.arrivals, trace.users, trace.tenants
-        n = trace.n_requests
-        pending_events = sorted(events, key=lambda event: event.time)
         next_event = 0
         status = np.zeros(n, dtype=np.int8)
         degraded = np.zeros(n, dtype=bool)
@@ -695,173 +598,192 @@ class RequestSimulator:
         version_queries: dict[str, int] = {}
         service_total = 0.0
         n_batches = 0
-        heap: list[tuple[float, int]] = []  # (virtual finish tag, request idx)
-        fifo: deque[int] = deque()  # pending in arrival order, lazily cleaned
-        tenant_pending: dict[str, list[int]] = {}  # newest-last, for queue shed
-        tenant_backlog: dict[str, int] = {}  # live queued count per tenant
-        n_pending = 0
+        virtual = 0.0  # WFQ virtual clock
         a = 0  # next arrival not yet through admission
         obs_on = obs.enabled()
         tracer = obs.get_tracer()
         wall_start = time.perf_counter()
 
-        def shed_overflow() -> int:
-            """Evict newest requests of the lowest-priority tenant; returns evictions."""
-            evicted = 0
-            while self.max_pending is not None and n_pending - evicted > self.max_pending:
-                candidates = []
-                for name, stack in tenant_pending.items():
-                    while stack and status[stack[-1]] != 0:
-                        stack.pop()
-                    if stack:
-                        candidates.append((table.policy_for(name).priority, name))
-                if not candidates:
-                    break
-                victim = min(candidates)[1]
-                idx = tenant_pending[victim].pop()
-                status[idx] = STATUS_SHED_QUEUE
-                tenant_backlog[victim] -= 1
-                evicted += 1
-            return evicted
+        def fire(until: float) -> bool:
+            """Apply the lifecycle events the clock has reached."""
+            nonlocal next_event
+            first = next_event
+            while next_event < len(pending) and pending[next_event].time <= until:
+                pending[next_event].action()
+                next_event += 1
+            return next_event > first
+
+        def admit(flow: _Flow, ids: np.ndarray) -> np.ndarray:
+            """Pass arrivals through the flow's queue limit and token bucket."""
+            policy = flow.policy
+            if policy.rate_cap_qps is None and policy.queue_limit is None:
+                return ids
+            kept = []
+            for r in ids.tolist():
+                if policy.queue_limit is not None and flow.backlog + len(kept) >= policy.queue_limit:
+                    status[r] = STATUS_SHED_QUEUE
+                    continue
+                if not scheduler.try_acquire(flow.name, float(arrivals[r])):
+                    if policy.degrade_k is None:
+                        status[r] = STATUS_SHED_CAP
+                        continue
+                    degraded[r] = True
+                kept.append(r)
+            return np.array(kept, dtype=np.intp)
 
         while True:
             # The next window starts at the earliest unresolved request:
             # a backlogged admitted one, else the next arrival.
-            while fifo and status[fifo[0]] != 0:
-                fifo.popleft()
-            if fifo:
-                t0 = float(arrivals[fifo[0]])
+            heads = [flow.idx[flow.head] for flow in flows if flow.backlog]
+            if heads:
+                t0 = float(arrivals[min(heads)])
             elif a < n:
                 t0 = float(arrivals[a])
             else:
                 break
-            while next_event < len(pending_events) and pending_events[next_event].time <= t0:
-                pending_events[next_event].action()
-                next_event += 1
+            fire(t0)
             active = backend.active_indices()
-            while not active and next_event < len(pending_events):
-                pending_events[next_event].action()
+            # Nothing in rotation: fast-forward to the event that will
+            # change that, or drop everything still unresolved.
+            while not active and next_event < len(pending):
+                pending[next_event].action()
                 next_event += 1
                 active = backend.active_indices()
             if not active:
-                break  # unresolved requests stay status 0 -> dropped
+                break
+            # The window closes at its deadline or at the first server
+            # availability, whichever is later.
             free_min = min(server_free[r] for r in active)
             horizon = max(t0 + self.window_s, free_min)
-            # Admission: each arrival inside the window passes its token
-            # bucket at its own arrival time.  Cap overflow sheds on the
-            # spot (or marks for degraded service), so a tenant hammering
-            # past its cap never occupies queue space.  A full per-tenant
-            # flow buffer (``queue_limit``) tail-drops before stamping —
-            # bounding the backlog is what keeps a flooding tenant's
-            # finish tags near the virtual clock, so the weighted
-            # interleave holds under sustained overload.
-            while a < n and arrivals[a] <= horizon:
-                tenant = str(tenants[a])
-                policy = table.policy_for(tenant)
-                limit = policy.queue_limit
-                if limit is not None and tenant_backlog.get(tenant, 0) >= limit:
-                    status[a] = STATUS_SHED_QUEUE
-                    a += 1
-                    continue
-                if not scheduler.try_acquire(tenant, float(arrivals[a])):
-                    if policy.degrade_k is None:
-                        status[a] = STATUS_SHED_CAP
-                        a += 1
-                        continue
-                    degraded[a] = True
-                heapq.heappush(heap, (scheduler.stamp(tenant), a))
-                fifo.append(a)
-                tenant_pending.setdefault(tenant, []).append(a)
-                tenant_backlog[tenant] = tenant_backlog.get(tenant, 0) + 1
-                n_pending += 1
-                a += 1
-            n_pending -= shed_overflow()
-            # Fill the window in virtual-tag order — the weighted-fair
-            # interleave — applying each request's overload action at the
-            # moment it would dispatch.
-            batch: list[int] = []
-            selected: list[tuple[float, int]] = []
-            while heap and len(batch) < self.max_batch:
-                tag, idx = heapq.heappop(heap)
-                if status[idx] != 0:
-                    continue
-                tenant = str(tenants[idx])
-                policy = table.policy_for(tenant)
-                action = scheduler.overload_action(policy, horizon - float(arrivals[idx]))
-                scheduler.advance(tag)
-                if action == "shed":
-                    status[idx] = STATUS_SHED_DEADLINE
-                    tenant_backlog[tenant] -= 1
-                    n_pending -= 1
-                    continue
-                if action == "degraded":
-                    degraded[idx] = True
-                batch.append(idx)
-                selected.append((tag, idx))
-            if not batch:
+            # Admission.  Cap overflow sheds on the spot (or marks for
+            # degraded service), so a tenant hammering past its cap never
+            # occupies queue space; a full flow buffer (``queue_limit``)
+            # tail-drops before stamping, which keeps a flooding tenant's
+            # finish tags near the virtual clock.
+            cutoff = int(np.searchsorted(arrivals, horizon, side="right"))
+            if cutoff > a:
+                for flow in flows:
+                    stop = int(np.searchsorted(flow.members, cutoff))
+                    ids = admit(flow, flow.members[flow.admitted : stop])
+                    flow.admitted = stop
+                    if ids.size:
+                        flow.enqueue(ids, virtual)
+                a = cutoff
+            # Backpressure: evict the lowest-priority tenant's newest.
+            excess = sum(flow.backlog for flow in flows) - self.max_pending if self.max_pending else 0
+            while excess > 0:
+                victim = min((f for f in flows if f.backlog), key=lambda f: (f.policy.priority, f.name))
+                drop = min(excess, victim.backlog)
+                victim.tail -= drop
+                status[victim.idx[victim.tail : victim.tail + drop]] = STATUS_SHED_QUEUE
+                excess -= drop
+            # Window fill: only requests that arrived by the window's close
+            # are eligible (after a replica rejoins the rotation the close
+            # can fall before requests admitted earlier).  Take runs from
+            # the flow with the smallest head key until another flow's
+            # head comes first, applying each request's overload action at
+            # the moment it would dispatch.
+            starts = [flow.head for flow in flows]
+            runs: list[np.ndarray] = []
+            room = self.max_batch
+            live = [flow for flow in flows if flow.backlog and flow.idx[flow.head] < cutoff]
+            while live and room:
+                flow = min(live, key=_Flow.key)
+                head = flow.head
+                ready = flow.tail
+                if flow.idx[ready - 1] >= cutoff:
+                    ready = head + int(np.searchsorted(flow.idx[head:ready], cutoff))
+                stop = ready
+                rivals = [f.key() for f in live if f is not flow]
+                if rivals:
+                    tag, idx = min(rivals)
+                    stop = head + int(np.searchsorted(flow.tag[head:ready], tag))
+                    while stop < ready and flow.tag[stop] == tag and flow.idx[stop] < idx:
+                        stop += 1
+                if flow.policy.deadline_ms is None:
+                    flow.head = min(stop, head + room)
+                    run = flow.idx[head : flow.head]
+                else:
+                    kept = []
+                    while flow.head < stop and len(kept) < room:
+                        r = int(flow.idx[flow.head])
+                        flow.head += 1
+                        action = scheduler.overload_action(flow.policy, horizon - float(arrivals[r]))
+                        if action == "shed":
+                            status[r] = STATUS_SHED_DEADLINE
+                            continue
+                        if action == "degraded":
+                            degraded[r] = True
+                        kept.append(r)
+                    run = np.array(kept, dtype=np.intp)
+                runs.append(run)
+                room -= run.size
+                virtual = max(virtual, float(flow.tag[flow.head - 1]))
+                if flow.head == ready:
+                    live.remove(flow)
+            if room == self.max_batch:
                 continue  # whole window shed; move to the next one
-            if len(batch) == self.max_batch:
-                dispatch = max(max(float(arrivals[idx]) for idx in batch), free_min)
+            ids = np.concatenate(runs)
+            if not room:
+                dispatch = max(float(arrivals[ids].max()), free_min)
             else:
                 dispatch = horizon
-            fired = False
-            while next_event < len(pending_events) and pending_events[next_event].time <= dispatch:
-                pending_events[next_event].action()
-                next_event += 1
-                fired = True
-            if fired:
+            # Events due before the dispatch moment take effect now, so a
+            # replica drained while the window was collecting is not
+            # routed to.  If the rotation emptied, the window's picks go
+            # back to the head of their flows.
+            if fire(dispatch):
                 active = backend.active_indices()
                 if not active:
-                    for entry in selected:
-                        heapq.heappush(heap, entry)
+                    for flow, start in zip(flows, starts):
+                        keep = status[flow.idx[start : flow.head]] == STATUS_DROPPED
+                        head = flow.head - int(keep.sum())
+                        flow.tag[head : flow.head] = flow.tag[start : flow.head][keep]
+                        flow.idx[head : flow.head] = flow.idx[start : flow.head][keep]
+                        flow.head = head
                     continue
+            # Route on outstanding work at dispatch time; a load-blind
+            # policy may pick a replica that is still busy, in which case
+            # the batch queues behind it (that queueing delay is exactly
+            # what separates the routing policies).
             loads = [max(0.0, server_free[r] - dispatch) for r in active]
             choice = active[backend.route_among(loads)]
             replica = replicas[choice]
-            # Serve the window as one group per effective k (full-k
-            # first): degraded requests get their policy's reduced k, and
-            # groups run back-to-back on the chosen replica's timeline.
-            groups: dict[int, list[int]] = {}
-            for idx in batch:
-                if degraded[idx]:
-                    policy = table.policy_for(str(tenants[idx]))
-                    k_eff = min(self.k, policy.degrade_k or self.k)
-                else:
-                    k_eff = self.k
-                groups.setdefault(k_eff, []).append(idx)
-            done = max(dispatch, server_free[choice])
             version = replica.version
-            for k_eff in sorted(groups, reverse=True):
-                members = groups[k_eff]
+            done = max(dispatch, server_free[choice])
+            groups = [(self.k, ids)]
+            if degraded[ids].any():
+                k_of = np.where(degraded[ids], reduced_k[codes[ids]], self.k)
+                groups = [(k_eff, ids[k_of == k_eff]) for k_eff in np.unique(k_of)[::-1].tolist()]
+            for k_eff, members in groups:
                 before = replica.stats.simulated_seconds
-                replica.recommend_batch(users[np.asarray(members)], k=k_eff, exclude=self.exclude)
+                replica.recommend_batch(users[members], k=k_eff, exclude=self.exclude)
                 service = replica.stats.simulated_seconds - before
                 done += service
-                for idx in members:
-                    latencies[idx] = done - float(arrivals[idx])
-                    status[idx] = STATUS_DEGRADED if k_eff != self.k else STATUS_OK
-                    tenant_backlog[str(tenants[idx])] -= 1
+                latencies[members] = done - arrivals[members]
+                status[members] = STATUS_OK if k_eff == self.k else STATUS_DEGRADED
                 replica_busy[choice] += service
-                replica_queries[choice] += len(members)
-                version_queries[version] = version_queries.get(version, 0) + len(members)
+                replica_queries[choice] += members.size
+                version_queries[version] = version_queries.get(version, 0) + members.size
                 service_total += service
                 n_batches += 1
-                n_pending -= len(members)
                 if obs_on:
                     tracer.add_span(
-                        f"batch[{len(members)}] k={k_eff}",
+                        f"batch[{members.size}]",
                         start=done - service,
                         end=done,
                         category="request",
                         process="serve",
                         track=f"replica:{choice}",
-                        n=len(members),
+                        n=members.size,
+                        k=k_eff,
                         version=version,
                     )
             server_free[choice] = done
-        while next_event < len(pending_events):
-            pending_events[next_event].action()
-            next_event += 1
+        # Late events (scheduled past the last arrival) still apply, so a
+        # rollout that outlives the trace completes instead of wedging the
+        # cluster half-drained.
+        fire(float("inf"))
         wall = time.perf_counter() - wall_start
         served_mask = (status == STATUS_OK) | (status == STATUS_DEGRADED)
         n_served = int(served_mask.sum())
@@ -869,17 +791,12 @@ class RequestSimulator:
         makespan = max(server_free) - float(arrivals[0]) if n_served else 0.0
         window_queries = 0
         window_p95 = 0.0
-        if pending_events and n_served:
-            lo, hi = pending_events[0].time, pending_events[-1].time
-            window_queries, window_p95 = event_window_p95(
-                arrivals, latencies, lo, hi, served_mask=served_mask
-            )
-        per_tenant = build_tenant_reports(tenants, status, latencies, makespan, table)
-        shed_mask = (
-            (status == STATUS_SHED_CAP)
-            | (status == STATUS_SHED_DEADLINE)
-            | (status == STATUS_SHED_QUEUE)
-        )
+        if pending and n_served:
+            lo, hi = pending[0].time, pending[-1].time
+            window_queries, window_p95 = event_window_p95(arrivals, latencies, lo, hi, served_mask=served_mask)
+        per_tenant: dict = {}
+        if trace.tenants is not None:
+            per_tenant = build_tenant_reports(trace.tenants, status, latencies, makespan, table)
         p50, p95, lat_max = percentile_summary(served)
         report = TrafficReport(
             label=trace.label,
@@ -899,15 +816,16 @@ class RequestSimulator:
             per_replica_busy_s=tuple(replica_busy),
             per_replica_utilization=utilization(replica_busy, makespan),
             per_version_queries=version_queries,
-            n_dropped=int((status == 0).sum()),
-            n_events=len(pending_events),
+            n_dropped=int((status == STATUS_DROPPED).sum()),
+            n_events=len(pending),
             window_queries=window_queries,
             window_p95_s=window_p95,
             per_tenant=per_tenant,
-            n_shed=int(shed_mask.sum()),
+            n_shed=int(np.isin(status, (STATUS_SHED_CAP, STATUS_SHED_DEADLINE, STATUS_SHED_QUEUE)).sum()),
             n_degraded=int((status == STATUS_DEGRADED).sum()),
             cache=_cache_delta(replicas, cache_before),
         )
         if obs_on:
-            _publish_report(report, served, tenants[served_mask])
+            tenants = trace.tenants[served_mask] if trace.tenants is not None else None
+            _publish_report(report, served, tenants)
         return report

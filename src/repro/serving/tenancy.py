@@ -25,10 +25,12 @@ deployment never did:
 :class:`TenantScheduler` is the state machine both entry points share:
 the :class:`~repro.serving.service.facade.RecommenderService` data plane
 uses :meth:`TenantScheduler.admit` for synchronous cap enforcement, and
-the :class:`~repro.serving.simulator.RequestSimulator` drives the full
-bucket + WFQ-stamp + overload machinery on the simulated timeline.
-Tenancy is strictly opt-in: with no policy table configured, none of
-this code runs and the serving stack behaves exactly as before.
+the :class:`~repro.serving.simulator.RequestSimulator` drives the
+buckets and overload actions (with its own vectorised WFQ stamps) on the
+simulated timeline.  Tenancy is strictly opt-in: with no policy table
+configured the data plane skips admission, and a replay is one default
+flow under the trivial policy (uncapped, weight 1, no deadline), so the
+serving stack behaves exactly as before.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ __all__ = [
 #: Tenant label attached to requests that do not name one.
 DEFAULT_TENANT = "default"
 
-# Per-request outcome codes used by the simulator's scheduled replay.
+# Per-request outcome codes used by the simulator's replay.
 # 0 doubles as "still pending": whatever is left unresolved when the
 # replay ends (e.g. every replica drained away) was dropped.
 STATUS_DROPPED = 0

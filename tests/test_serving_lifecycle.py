@@ -18,7 +18,9 @@ from repro.serving import (
     RequestSimulator,
     RolloutController,
     ServingCluster,
+    ServingConfig,
     SnapshotRegistry,
+    TenantPolicyTable,
     merged_ratings,
     refresh_factors,
 )
@@ -33,7 +35,7 @@ def fitted(tiny_ratings):
 
 @pytest.fixture()
 def store(fitted):
-    return fitted.export_store(n_shards=2)
+    return fitted.serve(ServingConfig(n_shards=2, log=False)).backend
 
 
 def _feedback_log(train, n_new_items: int = 2):
@@ -306,7 +308,7 @@ class TestStoreLifecycleHooks:
 
     def test_fold_in_records_into_attached_log(self, fitted):
         log = InteractionLog()
-        store = fitted.export_store(n_shards=2)
+        store = fitted.serve(ServingConfig(n_shards=2, log=False)).backend
         store.log = log
         user = store.fold_in(np.array([2, 7]), np.array([5.0, 3.0]))
         assert log.affected_users().tolist() == [user]
@@ -463,6 +465,29 @@ class TestRollout:
         assert cluster.active_indices() == [0, 1, 2]
         assert "lifecycle events" in report.summary()
 
+    @pytest.mark.parametrize("window_s", [0.0, 1e-5])
+    def test_trivial_policy_matches_plain_replay_under_rollout(self, versioned, window_s):
+        """A window only takes requests that arrived by its close.
+
+        A replica rejoining the rotation can pull the next window's close
+        before requests admitted for an earlier window; a one-tenant
+        trivial policy must still replay exactly like the plain trace.
+        """
+        registry, cluster = versioned
+        trace = QueryTrace.poisson(1200, 1_400_000.0, cluster.n_users, seed=2)
+        labelled = QueryTrace(trace.arrivals, trace.users, tenants=np.full(trace.n_requests, "solo"))
+        reports = []
+        for replay, policies in ((trace, None), (labelled, TenantPolicyTable())):
+            fresh = ServingCluster([registry.build_store(0, n_shards=2) for _ in range(3)])
+            events = RolloutController(fresh, registry).plan_events(
+                1, start_s=0.25 * trace.duration, step_s=0.2 * trace.duration
+            )
+            sim = RequestSimulator(fresh, k=4, max_batch=32, window_s=window_s, policies=policies)
+            reports.append(sim.run(replay, events=events))
+        plain, scheduled = reports
+        for fld in ("n_batches", "latency_p50_s", "latency_p95_s", "latency_max_s", "window_p95_s", "per_replica_queries"):
+            assert getattr(plain, fld) == getattr(scheduled, fld), fld
+
     def test_late_events_fire_at_end_of_trace(self, versioned):
         registry, cluster = versioned
         controller = RolloutController(cluster, registry)
@@ -473,22 +498,30 @@ class TestRollout:
         assert controller.status()["versions"] == ["v1", "v1", "v1"]
         assert cluster.active_indices() == [0, 1, 2]
 
-    def test_all_replicas_drained_drops_the_tail(self, fitted):
-        """Without a restore event left, the remaining queries are dropped."""
-        store = fitted.export_store(n_shards=2)
+    @pytest.mark.parametrize("labelled", [False, True], ids=["unlabelled", "trivial-table"])
+    def test_all_replicas_drained_drops_the_tail(self, fitted, labelled):
+        """Without a restore event left, the remaining queries are dropped.
+
+        Covered both without tenancy and under a trivial policy table on a
+        labelled trace, where the drop also lands in the tenant report.
+        """
+        store = fitted.serve(ServingConfig(n_shards=2, log=False)).backend
         cluster = ServingCluster.from_store(store, 2)
-        trace = QueryTrace.poisson(100, 10_000.0, store.n_users, seed=4)
+        trace = QueryTrace.poisson(100, 10_000.0, store.n_users, seed=4, tenant="t" if labelled else None)
         cutoff = trace.arrivals[49]
 
         def drain_both():
             cluster.drain(0)
             cluster._active[1] = False  # bypass the last-replica guard deliberately
 
-        report = RequestSimulator(cluster, k=3, max_batch=16).run(
+        policies = TenantPolicyTable() if labelled else None
+        report = RequestSimulator(cluster, k=3, max_batch=16, policies=policies).run(
             trace, events=[LifecycleEvent(time=float(cutoff), action=drain_both)]
         )
         assert report.n_dropped > 0
         assert report.n_dropped + sum(report.per_replica_queries) == 100
+        if labelled:
+            assert report.per_tenant["t"].n_dropped == report.n_dropped
 
     def test_event_validation(self):
         with pytest.raises(ValueError, match="non-negative"):

@@ -2,13 +2,13 @@
 
 Covers the tenancy layer end to end — :class:`TenantPolicy` /
 :class:`TenantPolicyTable` validation, the :class:`TenantScheduler`
-token-bucket and virtual-clock mechanics, the scheduled simulator loop
-(cap enforcement, weighted fair shares, priority shedding, degraded
-service, per-tenant report math) on BOTH backends (store and cluster),
-the facade's admission path, and the router registry satellites.  The
-zero-cost pin at the bottom replays one trace through the fast loop and
-the scheduled loop under a trivial single-tenant policy and requires
-identical aggregates.
+token-bucket and virtual-clock mechanics, the simulator's scheduled
+replay (cap enforcement, weighted fair shares, priority shedding,
+degraded service, per-tenant report math) on BOTH backends (store and
+cluster), the facade's admission path, and the router registry
+satellites.  The pins at the bottom of the replay tests require that a
+trivial single-tenant policy, and tenant labels without a policy table,
+reproduce the plain replay's aggregates exactly.
 """
 
 import numpy as np
@@ -90,6 +90,29 @@ def per_query_s(fitted, n_users):
 def _capacity(backend, per_query_s) -> float:
     """Aggregate serving capacity of a backend in queries/second."""
     return len(backend.serving_units()) / per_query_s
+
+
+AGGREGATES = (
+    "n_requests",
+    "n_batches",
+    "mean_batch_size",
+    "makespan_s",
+    "throughput_qps",
+    "service_seconds",
+    "latency_p50_s",
+    "latency_p95_s",
+    "latency_max_s",
+    "n_dropped",
+    "n_shed",
+    "n_degraded",
+    "per_replica_queries",
+    "per_replica_busy_s",
+)
+
+
+def _assert_same_aggregates(expected, actual):
+    for fld in AGGREGATES:
+        assert getattr(expected, fld) == getattr(actual, fld), fld
 
 
 # ---------------------------------------------------------------------- #
@@ -414,7 +437,7 @@ class TestScheduledReplay:
         assert solo.share == 1.0
 
     def test_zero_cost_when_unconfigured(self, backend_kind, fitted, n_users):
-        """Fast loop vs trivial-policy scheduled loop: identical aggregates."""
+        """Plain replay vs trivial single-tenant policy: identical aggregates."""
         trace_plain = QueryTrace.poisson(400, 2000.0, n_users, seed=3)
         trace_labelled = QueryTrace(
             trace_plain.arrivals,
@@ -422,7 +445,7 @@ class TestScheduledReplay:
             label=trace_plain.label,
             tenants=np.full(trace_plain.n_requests, "solo"),
         )
-        fast = RequestSimulator(
+        plain = RequestSimulator(
             _build_backend(backend_kind, fitted), k=10, max_batch=64, window_s=5e-3
         ).run(trace_plain)
         scheduled = RequestSimulator(
@@ -432,30 +455,51 @@ class TestScheduledReplay:
             window_s=5e-3,
             policies=[TenantPolicy("solo")],
         ).run(trace_labelled)
-        for fld in (
-            "n_requests",
-            "n_batches",
-            "mean_batch_size",
-            "makespan_s",
-            "throughput_qps",
-            "service_seconds",
-            "latency_p50_s",
-            "latency_p95_s",
-            "latency_max_s",
-            "n_dropped",
-            "per_replica_queries",
-        ):
-            assert getattr(fast, fld) == getattr(scheduled, fld), fld
+        _assert_same_aggregates(plain, scheduled)
         assert scheduled.n_shed == 0 and scheduled.n_degraded == 0
 
-    def test_unlabelled_trace_ignores_policies(self, backend, n_users):
-        """No tenant labels -> fast loop even with policies configured."""
+    def test_unlabelled_trace_ignores_policies(self, backend_kind, fitted, n_users):
+        """No tenant labels -> the policies are not consulted at all."""
+        trace = QueryTrace.poisson(100, 2000.0, n_users, seed=31)
         sim = RequestSimulator(
-            backend, k=10, max_batch=64, window_s=5e-3, policies=[TenantPolicy("ghost", rate_cap_qps=1.0)]
+            _build_backend(backend_kind, fitted),
+            k=10,
+            max_batch=64,
+            window_s=5e-3,
+            policies=TenantPolicyTable(
+                [TenantPolicy("ghost", rate_cap_qps=1.0)],
+                default=TenantPolicy("default", rate_cap_qps=1.0),
+            ),
         )
-        report = sim.run(QueryTrace.poisson(100, 2000.0, n_users, seed=31))
+        report = sim.run(trace)
         assert report.n_shed == 0
         assert report.per_tenant == {}
+        unconfigured = RequestSimulator(
+            _build_backend(backend_kind, fitted), k=10, max_batch=64, window_s=5e-3
+        ).run(trace)
+        _assert_same_aggregates(unconfigured, report)
+
+    def test_labels_without_table_do_not_schedule(self, backend_kind, fitted, per_query_s, n_users):
+        """An 80/20 labelled trace with no policy table replays in arrival order.
+
+        The load saturates the backend, so weighted-fair ordering of the
+        two labels would let the minority tenant jump the majority's
+        backlog and move the latency percentiles.
+        """
+        backend = _build_backend(backend_kind, fitted)
+        capacity = _capacity(backend, per_query_s)
+        labelled = QueryTrace.merge(
+            QueryTrace.poisson(1600, 1.2 * capacity, n_users, seed=37, tenant="big"),
+            QueryTrace.poisson(400, 0.3 * capacity, n_users, seed=41, tenant="small"),
+        )
+        plain = QueryTrace(labelled.arrivals, labelled.users, label=labelled.label)
+        kwargs = dict(k=10, max_batch=32, window_s=32 * per_query_s)
+        expected = RequestSimulator(_build_backend(backend_kind, fitted), **kwargs).run(plain)
+        report = RequestSimulator(backend, **kwargs).run(labelled)
+        _assert_same_aggregates(expected, report)
+        assert set(report.per_tenant) == {"big", "small"}
+        assert all(t.deadline_ms is None for t in report.per_tenant.values())
+        assert sum(t.n_served for t in report.per_tenant.values()) == report.n_requests
 
 
 # ---------------------------------------------------------------------- #
