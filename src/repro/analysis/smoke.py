@@ -4,7 +4,11 @@ One command — ``python -m repro.analysis.smoke`` — fits a small SU-ALS
 workload (data-parallel, dual-socket, 4 GPUs) and an MO-ALS workload
 under **every registered scheduler** with ``verify=True``, checks the
 factors are byte-identical to the unverified run, and hazard-analyzes
-the update graphs standalone.  Any hazard or trace violation raises
+the update graphs standalone.  It then ``verify=True``-executes the
+shape-only graphs the paper-scale iteration models run
+(:func:`~repro.core.perfmodel.iteration_graphs`) for Netflix, YahooMusic
+and Hugewiki on 1, 2 and 4 GPUs, again under every scheduler.  Any
+hazard or trace violation raises
 :class:`~repro.analysis.hazards.HazardError` and fails the job.
 
 This is the analysis counterpart of the tier-1 suite: fast (seconds),
@@ -13,6 +17,7 @@ no fixtures, exercised on every push by the CI ``analysis`` job.
 
 from __future__ import annotations
 
+import itertools
 import sys
 
 import numpy as np
@@ -21,8 +26,9 @@ from repro.analysis.hazards import analyze_graph
 from repro.core.als_mo import MemoryOptimizedALS
 from repro.core.als_su import ScaleUpALS
 from repro.core.config import ALSConfig
-from repro.core.schedule import scheduler_names
-from repro.datasets.registry import DatasetSpec
+from repro.core.perfmodel import iteration_graphs
+from repro.core.schedule import execute_graph, scheduler_names
+from repro.datasets.registry import HUGEWIKI, NETFLIX, YAHOOMUSIC, DatasetSpec
 from repro.datasets.synthetic import generate_ratings
 from repro.gpu.machine import MultiGPUMachine
 from repro.gpu.topology import MachineTopology
@@ -78,7 +84,25 @@ def main() -> int:
         print(f"FAIL analyze_graph: {hazard}", file=sys.stderr)
     if not hazards:
         print(f"ok analyze_graph: {len(graph)} tasks, 0 hazards")
+    failures += _paper_scale_graphs()
     return 1 if failures else 0
+
+
+def _paper_scale_graphs() -> int:
+    """Verify-execute the paper models' graphs under every scheduler; returns the failure count."""
+    failures = 0
+    for dataset, n_gpus, name in itertools.product((NETFLIX, YAHOOMUSIC, HUGEWIKI), (1, 2, 4), scheduler_names()):
+        config = ALSConfig(f=dataset.f, lam=dataset.lam)
+        solver = MemoryOptimizedALS(config) if n_gpus == 1 else ScaleUpALS(config, n_gpus=n_gpus)
+        try:
+            for graph in iteration_graphs(solver, dataset):
+                execute_graph(graph, solver.machine, name, verify=True)
+        except ValueError as exc:  # HazardError and graph validation failures
+            failures += 1
+            print(f"FAIL {dataset.name}/{n_gpus}gpu/{name}: {exc}", file=sys.stderr)
+            continue
+        print(f"ok {dataset.name}/{n_gpus}gpu/{name}: shape-only iteration verified")
+    return failures
 
 
 if __name__ == "__main__":

@@ -7,19 +7,22 @@ changes is that every update pass is *executed through the simulated GPU*:
   device global memory, so a problem that does not fit raises
   ``OutOfDeviceMemory`` exactly like a real 12 GB card (the paper's stated
   limitation of MO-ALS, §3.4 end);
-* each row block becomes one ``get_hermitian`` + one ``batch_solve``
-  kernel launch whose traffic depends on the three optimisation switches
-  (``use_texture``, ``use_registers``, ``bin_size``);
+* each planned row batch (``q`` of eq. 8, Algorithm 2) becomes one
+  ``get_hermitian`` + one ``batch_solve`` kernel launch whose traffic
+  depends on the three optimisation switches (``use_texture``,
+  ``use_registers``, ``bin_size``), preceded by one H2D of the batch's R
+  block when the pass is out of core (``q > 1``);
 * the convergence history therefore carries *simulated* seconds, which is
   what the Figure 6/7/8 curves plot.
 
 Like SU-ALS, an update pass is built as an explicit
-:class:`~repro.core.taskgraph.TaskGraph` (one ``get_hermitian`` +
-``batch_solve`` pair per row batch, all pinned to the single device) and
-executed through a :mod:`repro.core.schedule` scheduler; the default
-``"serial"`` schedule charges the clock kernel by kernel under the same
-labels as before, and executed-graph traces accumulate on
-:attr:`MemoryOptimizedALS.traces`.
+:class:`~repro.core.taskgraph.TaskGraph` (all pinned to the single
+device) and executed through a :mod:`repro.core.schedule` scheduler; the
+default ``"serial"`` schedule charges the clock launch by launch under
+the ``get_hermitian_*`` / ``batch_solve_*`` labels, and executed-graph
+traces accumulate on :attr:`MemoryOptimizedALS.traces`.  The full-scale
+time axes (:mod:`repro.core.perfmodel`) execute the same builder's
+shape-only graphs: a :class:`~repro.sparse.shape.RatingsShape`, no closures.
 """
 
 from __future__ import annotations
@@ -41,6 +44,8 @@ from repro.gpu.machine import MultiGPUMachine
 from repro.gpu.memory import MemoryKind, OutOfDeviceMemory
 from repro.gpu.specs import TITAN_X, DeviceSpec
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.partition import Partition1D
+from repro.sparse.shape import RatingsShape
 
 __all__ = ["MemoryOptimizedALS"]
 
@@ -91,63 +96,70 @@ class MemoryOptimizedALS:
         self.device.allocate("x", min(x_bytes, cap.free_bytes // 2), MemoryKind.GLOBAL)
         self.device.allocate("r_csr", min(r_bytes, max(cap.free_bytes - 256 * 1024 * 1024, 0)), MemoryKind.GLOBAL)
 
-    def _plan_row_batches(self, rows: int, other_dim: int, nz: int) -> int:
-        """Number of row batches (q of eq. 8 with p = 1) for one update pass."""
-        plan = plan_partitions(
-            m=rows,
-            n=other_dim,
-            nz=nz,
-            f=self.config.f,
-            capacity_bytes=self.device.spec.global_bytes,
-            n_gpus=1,
-        )
-        return max(1, plan.q)
+    def plan_batches(self, r: CSRMatrix | RatingsShape) -> int:
+        """Number of row batches (q of eq. 8 with p = 1) for one update pass over ``r``."""
+        rows, other = r.shape
+        return max(1, plan_partitions(rows, other, r.nnz, self.config.f, self.device.spec.global_bytes, n_gpus=1).q)
 
-    def build_update_graph(self, r: CSRMatrix, fixed: np.ndarray, label: str) -> tuple[TaskGraph, np.ndarray]:
-        """The task graph of one update pass: a kernel pair per row batch.
+    def build_update_graph(
+        self,
+        r: CSRMatrix | RatingsShape,
+        fixed: np.ndarray | None,
+        label: str,
+        batches: range | None = None,
+    ) -> tuple[TaskGraph, np.ndarray | None]:
+        """The task graph of one update pass: a kernel pair per planned row batch.
 
-        Every kernel gets its own wave (unique ``group``) so the serial
-        schedule charges the clock launch by launch under the same
-        ``get_hermitian_*`` / ``batch_solve_*`` labels the eager code used.
-        The returned array is filled when the graph executes.
+        Each kernel is its own wave, so the serial schedule charges the
+        clock launch by launch; an out-of-core pass (``q > 1``) first
+        streams each batch's R block and X slice in.  ``config.row_batch``
+        only chunks the numerics inside a batch.  With ``fixed=None`` the
+        graph is shape-only (no closures, no output array); ``batches``
+        restricts it to a sub-range of the ``q`` batches.
         """
         cfg = self.config
         rows, other = r.shape
-        q = self._plan_row_batches(rows, other, r.nnz)
-        batch_rows = max(1, -(-rows // q))
-        batch_rows = min(batch_rows, cfg.row_batch) if rows > cfg.row_batch else batch_rows
+        q = self.plan_batches(r)
+        part = Partition1D(rows, q)
         graph = TaskGraph()
-        out = np.zeros((rows, cfg.f), dtype=np.float64)
+        out = None if fixed is None else np.zeros((rows, cfg.f), dtype=np.float64)
 
-        for start in range(0, rows, batch_rows):
-            stop = min(start + batch_rows, rows)
-            block_nnz = int(r.indptr[stop] - r.indptr[start])
-            herm = get_hermitian_profile(
-                self.device.spec, stop - start, block_nnz, other, cfg, name=f"get_hermitian_{label}"
-            )
-            solve = batch_solve_profile(stop - start, cfg.f, name=f"batch_solve_{label}")
+        for j in range(q) if batches is None else batches:
+            lo, hi = part.range_of(j)
+            nnz = r.nnz_in_rows(lo, hi)
+            inputs = []
+            if q > 1:
+                nbytes = (2 * nnz + (hi - lo) + 1 + (hi - lo) * cfg.f) * FLOAT_BYTES
+                task = graph.new_task(
+                    f"h2d:{label}:b{j}",
+                    "transfer",
+                    clock_label="h2d",
+                    transfer=self.machine.h2d(0, nbytes, tag=f"r-block-{label}"),
+                )
+                inputs = [graph.new_object(nbytes, name=f"block:{label}:b{j}", producer=task)]
             herm_task = graph.new_task(
-                f"herm:{label}:r{start}",
+                f"herm:{label}:b{j}",
                 "kernel",
-                group=f"{label}:r{start}:herm",
                 clock_label=f"get_hermitian_{label}",
-                profile=herm,
+                profile=get_hermitian_profile(self.device.spec, hi - lo, nnz, other, cfg, name=f"get_hermitian_{label}"),
                 use_texture=cfg.use_texture,
                 pin=0,
+                inputs=inputs,
             )
 
-            def run_solve(start=start, stop=stop):
-                a, b = compute_hermitians(r, fixed, cfg.lam, start, stop)
-                out[start:stop] = batch_solve(a, b)
+            def run_solve(lo=lo, hi=hi):
+                for start in range(lo, hi, cfg.row_batch):
+                    stop = min(start + cfg.row_batch, hi)
+                    a, b = compute_hermitians(r, fixed, cfg.lam, start, stop)
+                    out[start:stop] = batch_solve(a, b)
 
             graph.new_task(
-                f"solve:{label}:r{start}",
+                f"solve:{label}:b{j}",
                 "kernel",
-                group=f"{label}:r{start}:solve",
                 clock_label=f"batch_solve_{label}",
-                profile=solve,
+                profile=batch_solve_profile(hi - lo, cfg.f, name=f"batch_solve_{label}"),
                 pin=0,
-                run=run_solve,
+                run=None if fixed is None else run_solve,
                 after=[herm_task],
             )
         return graph, out
@@ -214,6 +226,4 @@ class MemoryOptimizedALS:
         compute_objective: bool = False,
     ) -> FitResult:
         """Run MO-ALS; the history carries simulated seconds."""
-        return TrainingSession(self).run(
-            train, test, x0=x0, theta0=theta0, compute_objective=compute_objective
-        )
+        return TrainingSession(self).run(train, test, x0=x0, theta0=theta0, compute_objective=compute_objective)

@@ -18,18 +18,19 @@ differs: kernels run concurrently across GPUs and the reduction cost
 depends on the selected :class:`~repro.comm.reduction.ReductionScheme` and
 the machine topology.
 
-Since the task-graph refactor an update pass is *built* as an explicit
+An update pass is *built* as an explicit
 :class:`~repro.core.taskgraph.TaskGraph` — per-shard hermitian build →
 per-batch solve → reduce → gather, with the dependency structure the
 dataflow actually has — and *executed* through a scheduler from
 :mod:`repro.core.schedule`.  The default ``"serial"`` scheduler replays
-the graph's waves call-for-call like the old eager code (timings and
-breakdown labels unchanged); ``"eager"`` overlaps independent transfers
-with compute.  Factors are bitwise identical under every scheduler
-because numerics always run in topological order.  Each executed graph's
+the graph's waves one at a time; ``"eager"`` overlaps independent
+transfers with compute.  Factors are bitwise identical under every
+scheduler because numerics always run in topological order.  Each executed graph's
 :class:`~repro.core.schedule.ExecutionTrace` is appended to
 :attr:`ScaleUpALS.traces` (reset per ``iterate``), exportable as
-chrome-tracing JSON via :meth:`ScaleUpALS.export_trace`.
+chrome-tracing JSON via :meth:`ScaleUpALS.export_trace`.  The full-scale
+time axes (:mod:`repro.core.perfmodel`) execute the same builder's
+shape-only graphs: a :class:`~repro.sparse.shape.RatingsShape`, no closures.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ from repro.core.taskgraph import TaskGraph
 from repro.gpu.machine import MultiGPUMachine
 from repro.gpu.specs import TITAN_X, DeviceSpec
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.partition import Partition1D, grid_partition
+from repro.sparse.partition import Partition1D, partition_bounds
+from repro.sparse.shape import RatingsShape
 
 __all__ = ["ScaleUpALS"]
 
@@ -94,165 +96,172 @@ class ScaleUpALS:
         return self.machine.n_gpus
 
     # ------------------------------------------------------------------ #
-    def _choose_q(self, rows: int, other: int, nz: int) -> int:
-        """Number of model-parallel batches for one update pass (eq. 8)."""
-        if self.q_override is not None:
-            return max(1, self.q_override)
-        plan = plan_partitions(
-            m=rows,
-            n=other,
-            nz=nz,
-            f=self.config.f,
-            capacity_bytes=self.machine.spec.global_bytes,
-            n_gpus=self.p,
-        )
-        return max(1, plan.q)
-
-    def needs_data_parallelism(self, fixed_rows: int) -> bool:
-        """Whether the *fixed* factor is too big to replicate on every GPU.
+    def _model_parallel(self, fixed_rows: int) -> bool:
+        """Whether the *fixed* factor is small enough to replicate on every GPU.
 
         §5.4: when both X and Θ fit on one GPU "only model parallelism is
-        needed"; data parallelism (and its reduction) is reserved for the
-        pass whose fixed factor — X when solving Θ on Hugewiki, for example
-        — cannot be replicated.
+        needed"; data parallelism (and its reduction) is reserved for a
+        fixed factor that cannot be replicated (X when solving Hugewiki's Θ).
         """
         fixed_bytes = fixed_rows * self.config.f * FLOAT_BYTES
-        return fixed_bytes > 0.45 * self.machine.spec.global_bytes
+        return self.p > 1 and not self.force_data_parallel and fixed_bytes <= 0.45 * self.machine.spec.global_bytes
+
+    def plan_batches(self, r: CSRMatrix | RatingsShape) -> int:
+        """Number of model-parallel X batches ``q`` for one update pass (eq. 8).
+
+        On the model-parallel path every GPU plans its own row slice as a
+        one-GPU problem; on the data-parallel path the planner sees all
+        ``p`` GPUs sharing the fixed factor.
+        """
+        if self.q_override is not None:
+            return max(1, self.q_override)
+        rows, other = r.shape
+        if self._model_parallel(other):
+            lo, hi = Partition1D(rows, self.p).range_of(0)
+            rows, nz, n_gpus = hi - lo, int(r.nnz_in_rows(lo, hi)), 1
+        else:
+            nz, n_gpus = r.nnz, self.p
+        return max(1, plan_partitions(rows, other, nz, self.config.f, self.machine.spec.global_bytes, n_gpus=n_gpus).q)
 
     # ------------------------------------------------------------------ #
     # graph builders
     # ------------------------------------------------------------------ #
-    def _build_model_parallel_graph(self, r: CSRMatrix, fixed: np.ndarray, label: str) -> tuple[TaskGraph, np.ndarray]:
+    def _build_model_parallel_graph(
+        self, r: CSRMatrix | RatingsShape, fixed: np.ndarray | None, label: str, batches: range
+    ) -> tuple[TaskGraph, np.ndarray | None]:
         """Model parallelism only: rows are split across GPUs, Θ replicated.
 
         This is the PALS-style scheme cuMF falls back to whenever the fixed
         factor fits on every device (Netflix / YahooMusic in Figure 9): no
         inter-GPU reduction is required, so the speedup is bounded only by
-        PCIe contention on the shared host links.
+        PCIe contention on the shared host links.  Each GPU's row slice is
+        still solved in the planned ``q`` batches (Algorithm 3 line 8).
         """
         cfg = self.config
         p = self.p
         rows, other = r.shape
         row_part = Partition1D(rows, p)
+        q = self.plan_batches(r)
+        # GPU i's row slice, split into the q batches of Algorithm 3 line 8.
+        gpu_batches = [row_part.bounds[i] + partition_bounds(row_part.size_of(i), q) for i in range(p)]
         graph = TaskGraph()
-        out = np.zeros((rows, cfg.f), dtype=np.float64)
+        out = None if fixed is None else np.zeros((rows, cfg.f), dtype=np.float64)
 
         # Replicate the fixed factor on every GPU (concurrent host→device).
         fixed_bytes = other * cfg.f * FLOAT_BYTES
         fixed_objs = {}
-        for i in range(p):
-            task = graph.new_task(
-                f"bcast:{label}:g{i}",
-                "transfer",
-                group=f"{label}:bcast",
-                clock_label="scatter",
-                transfer=self.machine.h2d(i, fixed_bytes, tag=f"fixed-bcast-{label}"),
-            )
-            fixed_objs[i] = graph.new_object(fixed_bytes, name=f"fixed:{label}:g{i}", producer=task)
-        # Stream each GPU's row slice of R.
-        block_objs = {}
-        for i in range(p):
-            lo, hi = row_part.range_of(i)
-            nbytes = r.row_slice(lo, hi).memory_floats() * FLOAT_BYTES
-            task = graph.new_task(
-                f"h2d:{label}:g{i}",
-                "transfer",
-                group=f"{label}:h2d",
-                clock_label="h2d",
-                transfer=self.machine.h2d(i, nbytes, tag=f"r-rows-{label}"),
-            )
-            block_objs[i] = graph.new_object(nbytes, name=f"rows:{label}:g{i}", producer=task)
+        if batches.start == 0:  # once per pass, with batch 0
+            for i in range(p):
+                task = graph.new_task(
+                    f"bcast:{label}:g{i}",
+                    "transfer",
+                    group=f"{label}:bcast",
+                    clock_label="scatter",
+                    transfer=self.machine.h2d(i, fixed_bytes, tag=f"fixed-bcast-{label}"),
+                )
+                fixed_objs[i] = graph.new_object(fixed_bytes, name=f"fixed:{label}:g{i}", producer=task)
 
-        state: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        herm_tasks = {}
-        for i in range(p):
-            lo, hi = row_part.range_of(i)
-            block_nnz = int(r.indptr[hi] - r.indptr[lo])
-            profile = get_hermitian_profile(
-                self.machine.spec, hi - lo, block_nnz, other, cfg, name=f"get_hermitian_{label}"
-            )
+        for j in batches:
+            ranges = [(int(bounds[j]), int(bounds[j + 1])) for bounds in gpu_batches]
+            # Stream each GPU's rows of batch j.
+            block_objs = {}
+            for i, (lo, hi) in enumerate(ranges):
+                nbytes = r.row_slice(lo, hi).memory_floats() * FLOAT_BYTES
+                task = graph.new_task(
+                    f"h2d:{label}:b{j}:g{i}",
+                    "transfer",
+                    group=f"{label}:b{j}:h2d",
+                    clock_label="h2d",
+                    transfer=self.machine.h2d(i, nbytes, tag=f"r-rows-{label}"),
+                )
+                block_objs[i] = graph.new_object(nbytes, name=f"rows:{label}:b{j}:g{i}", producer=task)
 
-            def run_herm(i=i, lo=lo, hi=hi):
-                state[i] = compute_hermitians(r, fixed, cfg.lam, lo, hi)
+            state: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+            herm_tasks = {}
+            for i, (lo, hi) in enumerate(ranges):
 
-            herm_tasks[i] = graph.new_task(
-                f"herm:{label}:g{i}",
-                "kernel",
-                group=f"{label}:herm",
-                clock_label="kernels",
-                profile=profile,
-                use_texture=cfg.use_texture,
-                pin=i,
-                run=run_herm,
-                inputs=[fixed_objs[i], block_objs[i]],
-            )
-        solve_tasks = {}
-        for i in range(p):
-            lo, hi = row_part.range_of(i)
-            profile = batch_solve_profile(hi - lo, cfg.f, name=f"batch_solve_{label}")
+                def run_herm(i=i, lo=lo, hi=hi, state=state):
+                    state[i] = compute_hermitians(r, fixed, cfg.lam, lo, hi)
 
-            def run_solve(i=i, lo=lo, hi=hi):
-                out[lo:hi] = batch_solve(*state.pop(i))
+                herm_tasks[i] = graph.new_task(
+                    f"herm:{label}:b{j}:g{i}",
+                    "kernel",
+                    group=f"{label}:b{j}:herm",
+                    clock_label="kernels",
+                    profile=get_hermitian_profile(self.machine.spec, hi - lo, r.nnz_in_rows(lo, hi), other, cfg, name=f"get_hermitian_{label}"),
+                    use_texture=cfg.use_texture,
+                    pin=i,
+                    run=None if fixed is None else run_herm,
+                    inputs=[block_objs[i]] + ([fixed_objs[i]] if i in fixed_objs else []),
+                )
+            solve_tasks = {}
+            for i, (lo, hi) in enumerate(ranges):
 
-            solve_tasks[i] = graph.new_task(
-                f"solve:{label}:g{i}",
-                "kernel",
-                group=f"{label}:solve",
-                clock_label="kernels",
-                profile=profile,
-                pin=i,
-                run=run_solve,
-                after=[herm_tasks[i]],
-            )
-        for i in range(p):
-            graph.new_task(
-                f"gather:{label}:g{i}",
-                "transfer",
-                group=f"{label}:gather",
-                clock_label="gather",
-                transfer=self.machine.d2h(i, row_part.size_of(i) * cfg.f * FLOAT_BYTES, tag=f"x-gather-{label}"),
-                after=[solve_tasks[i]],
-            )
+                def run_solve(i=i, lo=lo, hi=hi, state=state):
+                    out[lo:hi] = batch_solve(*state.pop(i))
+
+                solve_tasks[i] = graph.new_task(
+                    f"solve:{label}:b{j}:g{i}",
+                    "kernel",
+                    group=f"{label}:b{j}:solve",
+                    clock_label="kernels",
+                    profile=batch_solve_profile(hi - lo, cfg.f, name=f"batch_solve_{label}"),
+                    pin=i,
+                    run=None if fixed is None else run_solve,
+                    after=[herm_tasks[i]],
+                )
+            for i, (lo, hi) in enumerate(ranges):
+                graph.new_task(
+                    f"gather:{label}:b{j}:g{i}",
+                    "transfer",
+                    group=f"{label}:b{j}:gather",
+                    clock_label="gather",
+                    transfer=self.machine.d2h(i, (hi - lo) * cfg.f * FLOAT_BYTES, tag=f"x-gather-{label}"),
+                    after=[solve_tasks[i]],
+                )
         return graph, out
 
-    def _build_data_parallel_graph(self, r: CSRMatrix, fixed: np.ndarray, label: str) -> tuple[TaskGraph, np.ndarray]:
+    def _build_data_parallel_graph(
+        self, r: CSRMatrix | RatingsShape, fixed: np.ndarray | None, label: str, batches: range
+    ) -> tuple[TaskGraph, np.ndarray | None]:
         """The grid-partition + reduction scheme of Algorithm 3, as a graph."""
         cfg = self.config
         p = self.p
         rows, other = r.shape
-        q = self._choose_q(rows, other, r.nnz)
-        grid = grid_partition(r, p, q)
-        col_part = grid.col_partition
-        row_part = grid.row_partition
+        row_part = Partition1D(rows, self.plan_batches(r))
+        col_part = Partition1D(other, p)
         graph = TaskGraph()
-        out = np.zeros((rows, cfg.f), dtype=np.float64)
+        out = None if fixed is None else np.zeros((rows, cfg.f), dtype=np.float64)
 
-        # Lines 5-7: scatter the vertical partitions of the fixed factor.
+        # Lines 5-7: scatter the vertical partitions of the fixed factor,
+        # once per pass, with batch 0.
         theta_bytes = [col_part.size_of(i) * cfg.f * FLOAT_BYTES for i in range(p)]
-        scatter_tasks = {}
         theta_objs = {}
-        for transfer in scatter_plan(self.machine, theta_bytes, tag=f"theta-scatter-{label}"):
-            gpu = int(transfer.dst.split(":")[1])
-            task = graph.new_task(
-                f"scatter:{label}:g{gpu}",
-                "transfer",
-                group=f"{label}:scatter",
-                clock_label="scatter",
-                transfer=transfer,
-            )
-            scatter_tasks[gpu] = task
-            theta_objs[gpu] = graph.new_object(transfer.nbytes, name=f"theta:{label}:g{gpu}", producer=task)
+        if batches.start == 0:
+            for transfer in scatter_plan(self.machine, theta_bytes, tag=f"theta-scatter-{label}"):
+                gpu = int(transfer.dst.split(":")[1])
+                task = graph.new_task(
+                    f"scatter:{label}:g{gpu}",
+                    "transfer",
+                    group=f"{label}:scatter",
+                    clock_label="scatter",
+                    transfer=transfer,
+                )
+                theta_objs[gpu] = graph.new_object(transfer.nbytes, name=f"theta:{label}:g{gpu}", producer=task)
 
-        fixed_parts = [np.asarray(fixed)[col_part.range_of(i)[0] : col_part.range_of(i)[1]] for i in range(p)]
+        fixed_parts = None if fixed is None else [np.asarray(fixed)[slice(*col_part.range_of(i))] for i in range(p)]
 
-        for j in range(q):  # line 8: model-parallel loop over X batches
+        for j in batches:  # line 8: model-parallel loop over X batches
             j_lo, j_hi = row_part.range_of(j)
             batch_rows = j_hi - j_lo
+            # Line 4, one batch at a time: the R^(ij) blocks of grid row j.
+            row_block = r.row_slice(j_lo, j_hi)
+            blocks = [row_block.col_slice(*col_part.range_of(i)) for i in range(p)]
 
             # Line 10: copy the R^(ij) blocks to their GPUs (concurrently).
             block_objs = {}
             for i in range(p):
-                nbytes = grid.block(i, j).memory_floats() * FLOAT_BYTES
+                nbytes = blocks[i].memory_floats() * FLOAT_BYTES
                 task = graph.new_task(
                     f"h2d:{label}:b{j}:g{i}",
                     "transfer",
@@ -267,17 +276,9 @@ class ScaleUpALS:
             partial_b: list[np.ndarray] = []
             herm_tasks = []
             for i in range(p):
-                profile = get_hermitian_profile(
-                    self.machine.spec,
-                    batch_rows,
-                    grid.block(i, j).nnz,
-                    max(1, col_part.size_of(i)),
-                    cfg,
-                    name=f"get_hermitian_{label}",
-                )
 
-                def run_herm(i=i, j=j, batch_rows=batch_rows, partial_a=partial_a, partial_b=partial_b):
-                    a_i, b_i = compute_hermitians(grid.block(i, j), fixed_parts[i], cfg.lam, 0, batch_rows)
+                def run_herm(i=i, block=blocks[i], batch_rows=batch_rows, partial_a=partial_a, partial_b=partial_b):
+                    a_i, b_i = compute_hermitians(block, fixed_parts[i], cfg.lam, 0, batch_rows)
                     partial_a.append(a_i)
                     partial_b.append(b_i)
 
@@ -287,12 +288,18 @@ class ScaleUpALS:
                         "kernel",
                         group=f"{label}:b{j}:herm",
                         clock_label="kernels",
-                        profile=profile,
+                        profile=get_hermitian_profile(
+                            self.machine.spec,
+                            batch_rows,
+                            blocks[i].nnz,
+                            max(1, col_part.size_of(i)),
+                            cfg,
+                            name=f"get_hermitian_{label}",
+                        ),
                         use_texture=cfg.use_texture,
                         pin=i,
-                        run=run_herm,
+                        run=None if fixed is None else run_herm,
                         inputs=[block_objs[i]] + ([theta_objs[i]] if i in theta_objs else []),
-                        after=[scatter_tasks[i]] if i in scatter_tasks else [],
                     )
                 )
 
@@ -328,7 +335,7 @@ class ScaleUpALS:
                 f"reduce-sum:{label}:b{j}",
                 "compute",
                 group=f"{label}:b{j}:reduce-sum",
-                run=run_reduce,
+                run=None if fixed is None else run_reduce,
                 after=barrier if barrier is not herm_tasks else list(herm_tasks),
             )
 
@@ -338,7 +345,6 @@ class ScaleUpALS:
             slice_part = Partition1D(batch_rows, solver_width)
             solve_tasks = []
             for i in range(solver_width):
-                profile = batch_solve_profile(slice_part.size_of(i), cfg.f, name=f"batch_solve_{label}")
 
                 def run_solve(state=state, j_lo=j_lo, j_hi=j_hi):
                     out[j_lo:j_hi] = batch_solve(state.pop("a"), state.pop("b"))
@@ -349,9 +355,9 @@ class ScaleUpALS:
                         "kernel",
                         group=f"{label}:b{j}:solve",
                         clock_label="kernels",
-                        profile=profile,
+                        profile=batch_solve_profile(slice_part.size_of(i), cfg.f, name=f"batch_solve_{label}"),
                         pin=i,
-                        run=run_solve if i == 0 else None,
+                        run=run_solve if fixed is not None and i == 0 else None,
                         after=[reduce_sum],
                     )
                 )
@@ -368,18 +374,27 @@ class ScaleUpALS:
                 )
         return graph, out
 
-    def build_update_graph(self, r: CSRMatrix, fixed: np.ndarray, label: str) -> tuple[TaskGraph, np.ndarray]:
+    def build_update_graph(
+        self,
+        r: CSRMatrix | RatingsShape,
+        fixed: np.ndarray | None,
+        label: str,
+        batches: range | None = None,
+    ) -> tuple[TaskGraph, np.ndarray | None]:
         """The task graph of one update pass (solving the ``r``-row side).
 
         Dispatches to pure model parallelism when the fixed factor fits on
         one GPU, and to the data-parallel (grid partition + reduction)
         scheme of Algorithm 3 otherwise.  The returned array is filled
-        when the graph executes.
+        when the graph executes.  With ``fixed=None`` the graph is
+        shape-only (no closures, no output array); ``batches`` restricts
+        it to a sub-range of the :meth:`plan_batches` batches, and the
+        range starting at batch 0 carries the fixed factor's scatter.
         """
-        rows, other = r.shape
-        if self.p > 1 and not self.force_data_parallel and not self.needs_data_parallelism(other):
-            return self._build_model_parallel_graph(r, fixed, label)
-        return self._build_data_parallel_graph(r, fixed, label)
+        batches = range(self.plan_batches(r)) if batches is None else batches
+        if self._model_parallel(r.shape[1]):
+            return self._build_model_parallel_graph(r, fixed, label, batches)
+        return self._build_data_parallel_graph(r, fixed, label, batches)
 
     def _update_pass(self, r: CSRMatrix, fixed: np.ndarray, label: str) -> np.ndarray:
         """One SU-ALS update pass: build the graph, execute it, keep the trace."""
@@ -437,6 +452,4 @@ class ScaleUpALS:
         compute_objective: bool = False,
     ) -> FitResult:
         """Run SU-ALS; the history carries simulated seconds."""
-        return TrainingSession(self).run(
-            train, test, x0=x0, theta0=theta0, compute_objective=compute_objective
-        )
+        return TrainingSession(self).run(train, test, x0=x0, theta0=theta0, compute_objective=compute_objective)

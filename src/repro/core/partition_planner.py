@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.core.kernels import FLOAT_BYTES
 
@@ -68,6 +69,7 @@ def footprint_floats(m: int, n: int, nz: int, f: int, p: int, q: int) -> float:
     return x_part + theta_part + r_block + hermitians + rhs
 
 
+@lru_cache(maxsize=256)
 def plan_partitions(
     m: int,
     n: int,

@@ -2,28 +2,39 @@
 
 The convergence experiments factorize *scaled-down* synthetic matrices
 (numerics are real), but the time axis of the paper's figures is wall-clock
-on the *full-scale* datasets.  This module replays the exact launch /
-transfer structure of MO-ALS and SU-ALS for a full-scale
-:class:`~repro.datasets.registry.DatasetSpec` on the simulated machine —
-no numerics, just the cost model — and reports the per-iteration time and
-its breakdown.  The experiment drivers combine both: RMSE trajectory from
-the scaled run, seconds-per-iteration from this model.
+on the *full-scale* datasets.  This module describes a full-scale
+:class:`~repro.datasets.registry.DatasetSpec` as a uniform-density
+:class:`~repro.sparse.shape.RatingsShape` and executes the solvers' own
+shape-only update graphs (``build_update_graph(shape, None, ...)``) under
+the ``serial`` scheduler — the same launch/transfer description the
+trained solvers run, minus the numerics.  The experiment drivers combine
+both: RMSE trajectory from the scaled run, seconds-per-iteration from
+this model.
+
+Clamped plans reach thousands of batches per pass, so a pass executes in
+runs of at most :data:`RUN_BATCHES` batches, the scatter/broadcast of the
+fixed factor only in the first.  Serial waves never span batches, so the
+clock and its breakdown are the same as for the whole graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
-from repro.comm.reduction import ReductionScheme, TwoPhaseTopologyReduction
+from repro.core.als_mo import MemoryOptimizedALS
+from repro.core.als_su import ScaleUpALS
 from repro.core.config import ALSConfig
-from repro.core.kernels import FLOAT_BYTES, batch_solve_profile, get_hermitian_profile
-from repro.core.partition_planner import plan_partitions
+from repro.core.schedule import execute_graph
+from repro.core.taskgraph import TaskGraph
 from repro.datasets.registry import DatasetSpec
-from repro.gpu.machine import MultiGPUMachine
 from repro.gpu.specs import TITAN_X, DeviceSpec
-from repro.sparse.partition import partition_bounds
+from repro.sparse.shape import RatingsShape
 
-__all__ = ["IterationTime", "mo_als_iteration_time", "su_als_iteration_time"]
+__all__ = ["IterationTime", "iteration_graphs", "mo_als_iteration_time", "su_als_iteration_time"]
+
+#: Batches per executed graph; bounds the model's memory on clamped plans.
+RUN_BATCHES = 64
 
 
 @dataclass
@@ -36,31 +47,24 @@ class IterationTime:
     q_x: int = 1
     q_theta: int = 1
 
-    def phase(self, label: str) -> float:
-        """Seconds spent in one labelled phase."""
-        return self.breakdown.get(label, 0.0)
+
+def iteration_graphs(solver: MemoryOptimizedALS | ScaleUpALS, dataset: DatasetSpec) -> Iterator[TaskGraph]:
+    """One shape-only iteration on ``dataset``: both passes, :data:`RUN_BATCHES` batches per graph."""
+    shape = RatingsShape.of(dataset)
+    for r, label in ((shape, "x"), (shape.transpose(), "theta")):
+        q = solver.plan_batches(r)
+        for start in range(0, q, RUN_BATCHES):
+            graph, _ = solver.build_update_graph(r, None, label, batches=range(start, min(start + RUN_BATCHES, q)))
+            yield graph
 
 
-def _pass_time_single_gpu(
-    machine: MultiGPUMachine, rows: int, other: int, nz: int, config: ALSConfig, label: str
-) -> int:
-    """Charge one MO-ALS update pass to the machine; returns q used."""
-    plan = plan_partitions(rows, other, nz, config.f, machine.spec.global_bytes, n_gpus=1)
-    q = max(1, plan.q)
-    bounds = partition_bounds(rows, q)
-    device = machine.device(0)
-    for j in range(q):
-        batch_rows = int(bounds[j + 1] - bounds[j])
-        batch_nnz = nz * batch_rows / max(rows, 1)
-        herm = get_hermitian_profile(device.spec, batch_rows, batch_nnz, other, config, name=f"get_hermitian_{label}")
-        solve = batch_solve_profile(batch_rows, config.f, name=f"batch_solve_{label}")
-        machine.clock.advance(device.execute(herm, use_texture=config.use_texture), label=f"get_hermitian_{label}")
-        machine.clock.advance(device.execute(solve), label=f"batch_solve_{label}")
-        if q > 1:
-            # Out-of-core batches stream their R block and X slice in/out.
-            block_bytes = (2 * batch_nnz + batch_rows + 1 + batch_rows * config.f) * FLOAT_BYTES
-            machine.run_transfers([machine.h2d(0, block_bytes, tag="r-block")], label="h2d")
-    return q
+def _iteration_time(solver: MemoryOptimizedALS | ScaleUpALS, dataset: DatasetSpec) -> IterationTime:
+    machine = solver.machine
+    for graph in iteration_graphs(solver, dataset):
+        execute_graph(graph, machine, "serial")
+    shape = RatingsShape.of(dataset)
+    q_x, q_theta = solver.plan_batches(shape), solver.plan_batches(shape.transpose())
+    return IterationTime(machine.elapsed_seconds(), machine.clock.breakdown(), p=machine.n_gpus, q_x=q_x, q_theta=q_theta)
 
 
 def mo_als_iteration_time(
@@ -74,119 +78,7 @@ def mo_als_iteration_time(
     optimisations enabled.
     """
     config = config or ALSConfig(f=dataset.f, lam=dataset.lam, iterations=1)
-    machine = MultiGPUMachine(n_gpus=1, spec=spec)
-    q_x = _pass_time_single_gpu(machine, dataset.m, dataset.n, dataset.nz, config, "x")
-    q_t = _pass_time_single_gpu(machine, dataset.n, dataset.m, dataset.nz, config, "theta")
-    return IterationTime(machine.elapsed_seconds(), machine.clock.breakdown(), p=1, q_x=q_x, q_theta=q_t)
-
-
-def _model_parallel_pass_time(
-    machine: MultiGPUMachine,
-    rows: int,
-    other: int,
-    nz: int,
-    config: ALSConfig,
-    label: str,
-) -> int:
-    """Charge one model-parallel pass (fixed factor replicated); returns q per GPU."""
-    p = machine.n_gpus
-    rows_per_gpu = -(-rows // p)
-    nz_per_gpu = nz / p
-    plan = plan_partitions(rows_per_gpu, other, int(nz_per_gpu), config.f, machine.spec.global_bytes, n_gpus=1)
-    q = max(1, plan.q)
-
-    fixed_bytes = other * config.f * FLOAT_BYTES
-    machine.run_transfers([machine.h2d(i, fixed_bytes, tag="fixed-bcast") for i in range(p)], label="scatter")
-
-    batch_bounds = partition_bounds(rows_per_gpu, q)
-    for j in range(q):
-        batch_rows = int(batch_bounds[j + 1] - batch_bounds[j])
-        batch_nnz = nz_per_gpu * batch_rows / max(rows_per_gpu, 1)
-        block_bytes = (2 * batch_nnz + batch_rows + 1) * FLOAT_BYTES
-        machine.run_transfers([machine.h2d(i, block_bytes, tag="r-rows") for i in range(p)], label="h2d")
-        herms = {
-            i: get_hermitian_profile(machine.spec, batch_rows, batch_nnz, other, config, name=f"get_hermitian_{label}")
-            for i in range(p)
-        }
-        machine.run_parallel_kernels(herms, use_texture=config.use_texture)
-        solves = {i: batch_solve_profile(batch_rows, config.f, name=f"batch_solve_{label}") for i in range(p)}
-        machine.run_parallel_kernels(solves)
-        machine.run_transfers(
-            [machine.d2h(i, batch_rows * config.f * FLOAT_BYTES, tag="x-gather") for i in range(p)], label="gather"
-        )
-    return q
-
-
-def _pass_time_multi_gpu(
-    machine: MultiGPUMachine,
-    rows: int,
-    other: int,
-    nz: int,
-    config: ALSConfig,
-    reduction: ReductionScheme,
-    label: str,
-    q_override: int | None = None,
-    force_data_parallel: bool = False,
-) -> int:
-    """Charge one SU-ALS update pass to the machine; returns q used."""
-    p = machine.n_gpus
-    fixed_bytes = other * config.f * FLOAT_BYTES
-    if p > 1 and not force_data_parallel and fixed_bytes <= 0.45 * machine.spec.global_bytes:
-        return _model_parallel_pass_time(machine, rows, other, nz, config, label)
-    if q_override is not None:
-        q = max(1, q_override)
-    else:
-        plan = plan_partitions(rows, other, nz, config.f, machine.spec.global_bytes, n_gpus=p)
-        q = max(1, plan.q)
-    row_bounds = partition_bounds(rows, q)
-    col_bounds = partition_bounds(other, p)
-
-    # Θ partitions scattered once per pass.
-    theta_scatter = [
-        machine.h2d(i, int(col_bounds[i + 1] - col_bounds[i]) * config.f * FLOAT_BYTES, tag="theta-scatter")
-        for i in range(p)
-    ]
-    machine.run_transfers(theta_scatter, label="scatter")
-
-    for j in range(q):
-        batch_rows = int(row_bounds[j + 1] - row_bounds[j])
-        batch_nnz = nz * batch_rows / max(rows, 1)
-        block_nnz = batch_nnz / p
-        block_transfers = [
-            machine.h2d(i, (2 * block_nnz + batch_rows + 1) * FLOAT_BYTES, tag="r-block") for i in range(p)
-        ]
-        machine.run_transfers(block_transfers, label="h2d")
-
-        profiles = {
-            i: get_hermitian_profile(
-                machine.spec,
-                batch_rows,
-                block_nnz,
-                max(1, int(col_bounds[i + 1] - col_bounds[i])),
-                config,
-                name=f"get_hermitian_{label}",
-            )
-            for i in range(p)
-        }
-        machine.run_parallel_kernels(profiles, use_texture=config.use_texture)
-
-        partial_bytes = batch_rows * (config.f * config.f + config.f) * FLOAT_BYTES
-        reduction.simulate(machine, partial_bytes)
-
-        solver_width = reduction.solver_parallelism(p)
-        slice_bounds = partition_bounds(batch_rows, solver_width)
-        solves = {
-            i: batch_solve_profile(int(slice_bounds[i + 1] - slice_bounds[i]), config.f, name=f"batch_solve_{label}")
-            for i in range(solver_width)
-        }
-        machine.run_parallel_kernels(solves)
-
-        gathers = [
-            machine.d2h(i, int(slice_bounds[i + 1] - slice_bounds[i]) * config.f * FLOAT_BYTES, tag="x-gather")
-            for i in range(solver_width)
-        ]
-        machine.run_transfers(gathers, label="gather")
-    return q
+    return _iteration_time(MemoryOptimizedALS(config, spec=spec), dataset)
 
 
 def su_als_iteration_time(
@@ -194,27 +86,13 @@ def su_als_iteration_time(
     n_gpus: int = 4,
     config: ALSConfig | None = None,
     spec: DeviceSpec = TITAN_X,
-    reduction: ReductionScheme | None = None,
-    machine: MultiGPUMachine | None = None,
-    q_override: int | None = None,
-    force_data_parallel: bool = False,
 ) -> IterationTime:
     """Simulated seconds of one full SU-ALS iteration on ``dataset``.
 
     Each of the two passes independently picks model parallelism (fixed
     factor replicated, no reduction) or data parallelism (grid partition +
-    reduction), exactly like :class:`~repro.core.als_su.ScaleUpALS`.
-    ``force_data_parallel`` pins both passes to the data-parallel path for
-    the reduction-scheme ablation.
+    reduction), exactly like :class:`~repro.core.als_su.ScaleUpALS` —
+    because it *is* that solver's graph.
     """
     config = config or ALSConfig(f=dataset.f, lam=dataset.lam, iterations=1)
-    reduction = reduction or TwoPhaseTopologyReduction()
-    machine = machine or MultiGPUMachine(n_gpus=n_gpus, spec=spec)
-    machine.reset()
-    q_x = _pass_time_multi_gpu(
-        machine, dataset.m, dataset.n, dataset.nz, config, reduction, "x", q_override, force_data_parallel
-    )
-    q_t = _pass_time_multi_gpu(
-        machine, dataset.n, dataset.m, dataset.nz, config, reduction, "theta", q_override, force_data_parallel
-    )
-    return IterationTime(machine.elapsed_seconds(), machine.clock.breakdown(), p=machine.n_gpus, q_x=q_x, q_theta=q_t)
+    return _iteration_time(ScaleUpALS(config, n_gpus=n_gpus, spec=spec), dataset)

@@ -34,6 +34,7 @@ import repro.obs as obs
 from repro.core.checkpoint import CheckpointManager
 from repro.core.config import FitResult, IterationStats
 from repro.core.metrics import objective_value, rmse
+from repro.core.validation import MESSAGES, require
 from repro.sparse.csr import CSRMatrix
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
@@ -211,10 +212,12 @@ class TrainingSession:
 
         ``start_iteration`` offsets the iteration ids (resume path);
         ``compute_objective`` adds the eq.-(1) objective column to every
-        history entry, for any solver.
+        history entry, for any solver.  A ``train`` holding NaN or inf is
+        rejected before the solver starts.
         """
         if start_iteration < 0:
             raise ValueError("start_iteration must be non-negative")
+        require(np.isfinite(train.data).all(), MESSAGES["ratings"])
         self._stop = False
         callbacks = list(self.callbacks)
         if obs.enabled():

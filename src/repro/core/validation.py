@@ -38,6 +38,7 @@ MESSAGES = {
     "bin_size": "bin_size must be in [1, 1024]",
     "row_batch": "row_batch must be positive",
     "init_scale": "init_scale must be positive",
+    "ratings": "ratings must be finite (no NaN or inf)",
 }
 
 

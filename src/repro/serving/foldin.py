@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.hermitian import batch_solve, compute_hermitians
+from repro.core.validation import MESSAGES, require
 from repro.sparse.csr import CSRMatrix
 
 __all__ = ["fold_in_user", "fold_in_users", "validate_ratings"]
@@ -32,9 +33,9 @@ def validate_ratings(
     :class:`~repro.serving.lifecycle.InteractionLog.record` — so bad
     input fails identically everywhere: items must be 1-D integer
     indices aligned with the ratings, non-negative, and (when ``n_items``
-    is given) within range.  Duplicate item ids are *allowed* here; the
-    downstream CSR construction sums them, matching the deduplication
-    the trainer applies to its input.
+    is given) within range; ratings must be finite.  Duplicate item ids
+    are *allowed* here; the downstream CSR construction sums them,
+    matching the deduplication the trainer applies to its input.
     """
     items = np.asarray(items)
     ratings = np.asarray(ratings, dtype=np.float64)
@@ -48,6 +49,7 @@ def validate_ratings(
             raise ValueError(f"item index out of range for {n_items} items")
     elif items.size and items.min() < 0:
         raise ValueError("item indices must be non-negative")
+    require(np.isfinite(ratings).all(), MESSAGES["ratings"])
     return items, ratings
 
 

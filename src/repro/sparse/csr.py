@@ -118,6 +118,10 @@ class CSRMatrix:
         start, stop = self.indptr[u], self.indptr[u + 1]
         return self.indices[start:stop], self.data[start:stop]
 
+    def nnz_in_rows(self, start_row: int, stop_row: int) -> int:
+        """Number of stored entries in rows ``[start_row, stop_row)``."""
+        return int(self.indptr[stop_row] - self.indptr[start_row])
+
     def row_slice(self, start_row: int, stop_row: int) -> "CSRMatrix":
         """Extract rows ``[start_row, stop_row)`` as a new CSR matrix.
 

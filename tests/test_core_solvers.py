@@ -11,6 +11,8 @@ from repro.core.als_mo import MemoryOptimizedALS
 from repro.core.als_su import ScaleUpALS
 from repro.core.config import ALSConfig
 from repro.core.trainer import CuMF
+from repro.datasets.registry import DatasetSpec
+from repro.datasets.synthetic import generate_ratings
 from repro.gpu.machine import MultiGPUMachine
 from repro.gpu.memory import OutOfDeviceMemory
 from repro.gpu.specs import TITAN_X
@@ -80,6 +82,16 @@ class TestMemoryOptimizedALS:
         fast = MemoryOptimizedALS(als_config).fit(tiny_ratings.train)
         slow = MemoryOptimizedALS(als_config.with_(use_texture=False)).fit(tiny_ratings.train)
         assert slow.total_seconds > fast.total_seconds
+
+    def test_simulated_seconds_independent_of_row_batch(self):
+        # row_batch is a numerics knob: it chunks the closures, never the launches.
+        spec = DatasetSpec("row-batch", 600, 400, 12_000, 8, 0.05, kind="synthetic")
+        train = generate_ratings(spec, seed=2).train
+        seconds = {
+            rb: MemoryOptimizedALS(ALSConfig(f=8, lam=0.05, iterations=2, seed=1, row_batch=rb)).fit(train).total_seconds
+            for rb in (64, 2048)
+        }
+        assert seconds[64] == seconds[2048]
 
     def test_rejects_multi_gpu_machine(self, als_config):
         with pytest.raises(ValueError):

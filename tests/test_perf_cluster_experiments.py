@@ -13,8 +13,12 @@ from repro.cluster.perf import (
     parameter_server_epoch_time,
     rotation_als_iteration_time,
 )
+import repro.core.perfmodel as perfmodel
+from repro.core.als_mo import MemoryOptimizedALS
+from repro.core.als_su import ScaleUpALS
 from repro.core.config import ALSConfig
 from repro.core.perfmodel import mo_als_iteration_time, su_als_iteration_time
+from repro.core.schedule import execute_graph
 from repro.datasets.registry import FACTORBIRD, HUGEWIKI, NETFLIX, SPARKALS, YAHOOMUSIC
 from repro.experiments import figure2_rows, reduction_rows, table1_rows, table3_rows, table5_rows
 from repro.experiments.figure11_large import figure11_rows
@@ -22,6 +26,7 @@ from repro.perf.analytical import als_iteration_cost, batch_solve_cost, get_herm
 from repro.perf.counters import OpCounter
 from repro.perf.roofline import attainable_gflops, classify, roofline_time
 from repro.perf.timeline import SimClock
+from repro.sparse.shape import RatingsShape
 from repro.gpu.specs import TITAN_X
 
 
@@ -130,6 +135,29 @@ class TestGPUPerfModel:
         assert t.q_x >= 1 and t.seconds > 0
         # The update-Θ pass must have charged reduction transfers.
         assert any(k.startswith("reduce:") for k in t.breakdown)
+
+    @pytest.mark.parametrize(
+        "model,solver,dataset,qs",
+        [
+            (su_als_iteration_time, lambda: ScaleUpALS(ALSConfig(f=HUGEWIKI.f, lam=HUGEWIKI.lam), n_gpus=4), HUGEWIKI, (42, 6)),
+            (mo_als_iteration_time, lambda: MemoryOptimizedALS(ALSConfig(f=FACTORBIRD.f, lam=FACTORBIRD.lam)), FACTORBIRD, (41, 44)),
+        ],
+        ids=["hugewiki-su4", "factorbird-mo"],
+    )
+    @pytest.mark.parametrize("run", [1, 5])
+    def test_bounded_runs_match_whole_graph_bitwise(self, monkeypatch, model, solver, dataset, qs, run):
+        """A shape-only pass run in bounded runs charges exactly what the whole graph does."""
+        whole = solver()
+        shape = RatingsShape.of(dataset)
+        for r, label in ((shape, "x"), (shape.transpose(), "theta")):
+            graph, out = whole.build_update_graph(r, None, label)
+            assert out is None and all(task.run is None for task in graph.tasks)
+            execute_graph(graph, whole.machine)
+        monkeypatch.setattr(perfmodel, "RUN_BATCHES", run)
+        model = model(dataset)
+        assert (model.q_x, model.q_theta) == qs
+        assert model.seconds == whole.machine.elapsed_seconds()
+        assert model.breakdown == whole.machine.clock.breakdown()
 
 
 class TestClusterModel:

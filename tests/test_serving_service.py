@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core import ALSConfig, CuMF
+from repro.core.validation import MESSAGES
 from repro.datasets import NETFLIX, generate_ratings
 from repro.serving import (
     FactorStore,
@@ -205,6 +206,22 @@ class TestEnvelopes:
         assert service.log.n_events == 6  # recorded exactly once, any backend
         response = service.recommend(user, k=4, exclude=None)
         assert response.ok and len(response.payload[0]) == 4
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rate_rejects_non_finite_ratings(self, service, bad):
+        response = service.rate(4, np.array([1]), np.array([bad]))
+        assert not response.ok and response.error == MESSAGES["ratings"]
+        assert service.log.n_events == 0
+        with pytest.raises(ValueError, match="finite"):
+            service.fold_in(np.array([1, 2]), np.array([4.0, bad]))
+
+    def test_non_finite_rating_cannot_poison_refresh(self, service):
+        service.rate(4, np.array([1]), np.array([np.nan]))
+        service.rate(4, np.array([2]), np.array([4.0])).raise_for_status()
+        service.refresh()
+        assert np.isfinite(service.backend.serving_units()[0].x).all()
+        response = service.recommend(np.array([4]), k=3)
+        assert response.ok and len(response.payload[0]) == 3
 
 
 # ---------------------------------------------------------------------- #

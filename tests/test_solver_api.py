@@ -35,6 +35,7 @@ from repro.core.solver import (
 from repro.core.trainer import CuMF
 from repro.core.validation import MESSAGES
 from repro.serving.service import RecommenderService, ServingConfig
+from repro.sparse.csr import CSRMatrix
 
 ALL_SOLVERS = sorted(solver_names())
 
@@ -211,6 +212,15 @@ class TestSolverConformance:
         result = build(name).fit(data.train)
         assert result.solver == build(name).name
         assert result.config is not None and result.config.f == HYPER["f"]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_training_matrix_rejected(self, name, data, bad):
+        values = data.train.data.copy()
+        values[0] = bad
+        train = CSRMatrix(data.train.shape, data.train.indptr, data.train.indices, values)
+        with pytest.raises(ValueError) as err:
+            build(name).fit(train)
+        assert str(err.value) == MESSAGES["ratings"]
 
 
 # ---------------------------------------------------------------------- #
