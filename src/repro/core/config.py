@@ -37,8 +37,11 @@ class ALSConfig:
         Number of θ columns staged per shared-memory tile (Algorithm 2
         lines 5-10; the paper uses 10-30).
     row_batch:
-        How many rows of X/Θ each kernel launch covers on the *numerics*
-        side (bounds host memory of the vectorised outer-product buffer).
+        How many rows of X/Θ each Hermitian assembly of the base and
+        MO-ALS solvers covers on the *numerics* side (SU-ALS assembles
+        one planned batch at a time).  It bounds the host temporaries of
+        one block, ``(rows + distinct columns) × f × f`` floats;
+        simulated seconds do not depend on it.
     init_scale:
         Scale of the uniform [0, init_scale) factor initialisation.
     dtype:

@@ -9,10 +9,15 @@ the λ term appears ``n_{x_u}`` times, i.e. ``A_u`` gets ``λ n_{x_u} I``.
 
 Two implementations are provided:
 
-* :func:`compute_hermitians` — the vectorised production path: gathers all
-  θ_v of a row block at once, forms the outer products with one einsum and
-  segment-sums them with ``np.add.reduceat`` over the CSR row pointer
-  (no Python-level per-rating loop, per the HPC guide).
+* :func:`compute_hermitians` — the vectorised production path.  It forms
+  ``T[v] = vec(θ_v θ_vᵀ)`` once per distinct column of the row block and
+  assembles both sides as sparse-dense products over the block's rating
+  pattern: ``A = (R≠0) @ T`` and ``B = R @ Θ`` (via :mod:`scipy.sparse`).
+  This is the host counterpart of cuMF's ``get_hermitian``: each θ_v is
+  read once per block instead of once per rating, and the temporaries are
+  ``(rows + distinct columns) × f²`` floats rather than ``nnz × f²``.
+  Every row's sum runs over its ratings in CSR order, so a row's result
+  does not depend on which block it was computed in.
 * :func:`compute_hermitians_loop` — a straight transliteration of
   Algorithm 1 used as the ground truth in tests.
 """
@@ -20,37 +25,16 @@ Two implementations are provided:
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.sparse.csr import CSRMatrix
 
 __all__ = [
-    "segment_sum",
     "compute_hermitians",
     "compute_hermitians_loop",
     "batch_solve",
     "update_factor",
 ]
-
-
-def segment_sum(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """Sum ``values`` over the contiguous segments described by ``indptr``.
-
-    ``values`` has shape ``(nnz, ...)``; the result has shape
-    ``(len(indptr) - 1, ...)`` where segment ``i`` covers
-    ``values[indptr[i]:indptr[i+1]]``.  Empty segments sum to zero.
-    """
-    indptr = np.asarray(indptr, dtype=np.int64)
-    m = indptr.shape[0] - 1
-    out = np.zeros((m,) + values.shape[1:], dtype=np.float64)
-    if values.shape[0] == 0 or m == 0:
-        return out
-    counts = np.diff(indptr)
-    nonempty = counts > 0
-    if not nonempty.any():
-        return out
-    starts = indptr[:-1][nonempty]
-    out[nonempty] = np.add.reduceat(values, starts, axis=0)
-    return out
 
 
 def compute_hermitians(
@@ -82,24 +66,24 @@ def compute_hermitians(
     vals = r.data[lo:hi]
     indptr = r.indptr[row_start : row_stop + 1] - lo
 
-    gathered = theta[cols]  # (nnz_block, f)
-    outer = np.einsum("ki,kj->kij", gathered, gathered)
-    a = segment_sum(outer, indptr)
-    b = segment_sum(vals[:, None] * gathered, indptr)
+    used, local = np.unique(cols, return_inverse=True)
+    gathered = theta[used]  # (distinct columns, f)
+    outer = np.einsum("ki,kj->kij", gathered, gathered).reshape(used.size, f * f)
+    shape = (rows, used.size)
+    pattern = sp.csr_array((np.ones(cols.size), local, indptr), shape=shape)
+    a = (pattern @ outer).reshape(rows, f, f)
+    b = sp.csr_array((vals, local, indptr), shape=shape) @ gathered
 
-    counts = np.diff(indptr).astype(np.float64)
-    eye = np.eye(f, dtype=np.float64)
+    diagonal = a.reshape(rows, f * f)[:, :: f + 1]  # a view of every A_u's diagonal
     if weighted:
-        a += lam * counts[:, None, None] * eye
+        diagonal += lam * np.diff(indptr)[:, None]
     else:
-        a += lam * eye
+        diagonal += lam
     assert a.shape == (rows, f, f) and b.shape == (rows, f)
     return a, b
 
 
-def compute_hermitians_loop(
-    r: CSRMatrix, theta: np.ndarray, lam: float, weighted: bool = True
-) -> tuple[np.ndarray, np.ndarray]:
+def compute_hermitians_loop(r: CSRMatrix, theta: np.ndarray, lam: float, weighted: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """Reference implementation of Algorithm 1 lines 2-9 (per-row loop)."""
     theta = np.asarray(theta, dtype=np.float64)
     m = r.shape[0]
@@ -131,13 +115,7 @@ def batch_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if (
-        a.ndim != 3
-        or b.ndim != 2
-        or a.shape[0] != b.shape[0]
-        or a.shape[1] != a.shape[2]
-        or a.shape[2] != b.shape[1]
-    ):
+    if a.ndim != 3 or b.ndim != 2 or a.shape[0] != b.shape[0] or a.shape[1] != a.shape[2] or a.shape[2] != b.shape[1]:
         raise ValueError(f"incompatible shapes for batch solve: {a.shape} vs {b.shape}")
     out = np.zeros_like(b)
     # Identify well-posed systems cheaply via the diagonal (A_u is PSD + λnI,
@@ -168,9 +146,10 @@ def update_factor(
 ) -> np.ndarray:
     """One full update-X pass: returns the new ``X`` given ``Θ`` fixed.
 
-    The pass runs in row blocks of ``row_batch`` to bound the temporary
-    outer-product buffer (``block_nnz × f × f`` floats), which is exactly
-    the batching structure cuMF uses on the GPU.
+    The pass runs in row blocks of ``row_batch``, the batching structure
+    cuMF uses on the GPU.  A block's temporaries are its ``A`` stack and
+    the outer products of its distinct columns, ``(rows + distinct
+    columns) × f × f`` floats.
     """
     m = r.shape[0]
     f = np.asarray(theta).shape[1]

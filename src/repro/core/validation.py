@@ -39,6 +39,7 @@ MESSAGES = {
     "row_batch": "row_batch must be positive",
     "init_scale": "init_scale must be positive",
     "ratings": "ratings must be finite (no NaN or inf)",
+    "factors": "factors must be finite (no NaN or inf)",
 }
 
 

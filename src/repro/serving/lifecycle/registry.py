@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.checkpoint import CheckpointManager
-from repro.core.validation import require
+from repro.core.validation import MESSAGES, require
 
 __all__ = ["Snapshot", "SnapshotRegistry"]
 
@@ -105,8 +105,13 @@ class SnapshotRegistry:
 
         Version numbers strictly increase and never collide with trainer
         iterations already present in a shared directory (the next
-        number is past *every* existing file).
+        number is past *every* existing file).  Non-finite factors are
+        refused before anything is written: a NaN or inf row would
+        otherwise be served (and rolled out) as an empty ``ok`` answer.
         """
+        x = np.asarray(x, dtype=np.float64)
+        theta = np.asarray(theta, dtype=np.float64)
+        require(np.isfinite(x).all() and np.isfinite(theta).all(), MESSAGES["factors"])
         existing = self.manager.list_iterations()
         version = existing[-1] + 1 if existing else 0
         # The manager must not rotate anything while the registry saves;
@@ -114,8 +119,8 @@ class SnapshotRegistry:
         self.manager.keep = len(existing) + 1
         self.manager.save(
             version,
-            np.asarray(x, dtype=np.float64),
-            np.asarray(theta, dtype=np.float64),
+            x,
+            theta,
             lam=np.float64(lam),
             weighted=np.bool_(weighted),
             tag=np.str_(tag),

@@ -11,42 +11,14 @@ from repro.core.hermitian import (
     batch_solve,
     compute_hermitians,
     compute_hermitians_loop,
-    segment_sum,
     update_factor,
 )
 from repro.core.metrics import objective_value, predict_entries, rmse
+from repro.datasets.registry import DatasetSpec
+from repro.datasets.synthetic import generate_ratings
 from repro.sparse.csr import CSRMatrix
 
 from tests.conftest import random_coo
-
-
-class TestSegmentSum:
-    def test_basic_segments(self):
-        values = np.arange(6, dtype=float).reshape(6, 1)
-        indptr = np.array([0, 2, 2, 6])
-        out = segment_sum(values, indptr)
-        np.testing.assert_allclose(out[:, 0], [1.0, 0.0, 14.0])
-
-    def test_empty_values(self):
-        out = segment_sum(np.zeros((0, 3)), np.array([0, 0, 0]))
-        np.testing.assert_allclose(out, np.zeros((2, 3)))
-
-    def test_trailing_empty_segments(self):
-        values = np.ones((3, 2))
-        indptr = np.array([0, 3, 3, 3])
-        out = segment_sum(values, indptr)
-        np.testing.assert_allclose(out, [[3, 3], [0, 0], [0, 0]])
-
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 500), m=st.integers(1, 15))
-    def test_property_matches_python_loop(self, seed, m):
-        gen = np.random.default_rng(seed)
-        counts = gen.integers(0, 4, size=m)
-        indptr = np.concatenate([[0], np.cumsum(counts)])
-        values = gen.normal(size=(int(indptr[-1]), 3))
-        out = segment_sum(values, indptr)
-        for i in range(m):
-            np.testing.assert_allclose(out[i], values[indptr[i] : indptr[i + 1]].sum(axis=0), atol=1e-12)
 
 
 class TestHermitians:
@@ -102,6 +74,59 @@ class TestHermitians:
             compute_hermitians(r, theta, 0.1, row_start=10, row_stop=5)
 
 
+@st.composite
+def _ratings_blocks(draw):
+    """A small CSR matrix (rows without ratings allowed), Θ and a row range."""
+    m = draw(st.integers(0, 8))
+    n = draw(st.integers(1, 6))
+    f = draw(st.integers(1, 4))
+    gen = np.random.default_rng(draw(st.integers(0, 2**16)))
+    counts = gen.integers(0, n + 1, size=m)
+    counts[gen.random(m) < 0.3] = 0
+    indices = [np.sort(gen.choice(n, size=c, replace=False)) for c in counts]
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    cols = np.concatenate(indices) if m else np.zeros(0, dtype=np.int64)
+    r = CSRMatrix((m, n), indptr, cols, gen.normal(size=int(indptr[-1])))
+    theta = gen.normal(size=(n, f))
+    start = draw(st.integers(0, m))
+    stop = draw(st.integers(start, m))
+    return r, theta, start, stop
+
+
+class TestSparseProductHermitians:
+    """Pins of the sparse-product assembly beyond the loop reference."""
+
+    @staticmethod
+    def _powerlaw(seed=0, f=8):
+        spec = DatasetSpec("skewed", 300, 120, 4_000, f, 0.05, kind="synthetic")
+        r = generate_ratings(spec, seed=seed).train
+        theta = np.random.default_rng(seed + 1).normal(size=(r.shape[1], f))
+        return r, theta
+
+    @settings(max_examples=60, deadline=None)
+    @given(block=_ratings_blocks(), lam=st.floats(0.0, 2.0), weighted=st.booleans())
+    def test_property_matches_loop_reference(self, block, lam, weighted):
+        r, theta, start, stop = block
+        a, b = compute_hermitians(r, theta, lam, start, stop, weighted=weighted)
+        a_loop, b_loop = compute_hermitians_loop(r, theta, lam, weighted=weighted)
+        assert a.shape == (stop - start,) + a_loop.shape[1:]
+        np.testing.assert_allclose(a, a_loop[start:stop], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(b, b_loop[start:stop], rtol=0, atol=1e-10)
+
+    def test_a_is_exactly_symmetric(self):
+        r, theta = self._powerlaw()
+        a, _ = compute_hermitians(r, theta, lam=0.05)
+        assert np.array_equal(a, a.transpose(0, 2, 1))
+
+    def test_row_range_equals_rows_of_full_call_bitwise(self):
+        r, theta = self._powerlaw(seed=4)
+        a_full, b_full = compute_hermitians(r, theta, lam=0.05)
+        for start, stop in [(0, 1), (17, 64), (100, 300), (299, 299)]:
+            a, b = compute_hermitians(r, theta, 0.05, start, stop)
+            assert np.array_equal(a, a_full[start:stop])
+            assert np.array_equal(b, b_full[start:stop])
+
+
 class TestBatchSolve:
     def test_solves_stacked_spd_systems(self, rng):
         f, k = 4, 6
@@ -133,9 +158,7 @@ class TestBatchSolve:
         x_init = rng.normal(size=x_opt.shape)
 
         def j_of(x):
-            return objective_value(r, x, theta, lam) - lam * np.sum(
-                r.nnz_per_col() * np.sum(theta**2, axis=1)
-            )
+            return objective_value(r, x, theta, lam) - lam * np.sum(r.nnz_per_col() * np.sum(theta**2, axis=1))
 
         assert j_of(x_opt) <= j_of(x_init) + 1e-9
         # Perturbing the optimum must not decrease the objective.

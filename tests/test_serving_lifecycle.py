@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from repro.core import ALSConfig, CuMF
 from repro.core.checkpoint import CheckpointManager
 from repro.core.hermitian import update_factor
+from repro.core.validation import MESSAGES
 from repro.serving import (
     FactorStore,
     InteractionLog,
@@ -239,6 +241,20 @@ class TestSnapshotRegistry:
         assert manager.list_iterations() == [1, 6, 7]
         with pytest.raises(ValueError, match="not a registry version"):
             registry.load(6)
+
+    @pytest.mark.parametrize("factor", ["x", "theta"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_publish_refuses_non_finite_factors(self, fitted, tmp_path, factor, bad):
+        registry = SnapshotRegistry(str(tmp_path))
+        registry.publish(fitted.result.x, fitted.result.theta)
+        files = sorted(os.listdir(tmp_path))
+        factors = {"x": fitted.result.x.copy(), "theta": fitted.result.theta.copy()}
+        factors[factor][1, 0] = bad
+        with pytest.raises(ValueError, match=re.escape(MESSAGES["factors"])):
+            registry.publish(factors["x"], factors["theta"])
+        assert sorted(os.listdir(tmp_path)) == files  # nothing written
+        assert registry.versions() == [0]
+        np.testing.assert_array_equal(registry.load().x, fitted.result.x)
 
     def test_publish_store_and_empty_load(self, store, tmp_path):
         registry = SnapshotRegistry(str(tmp_path))
