@@ -7,7 +7,7 @@ Two families of acceptance pins for :mod:`repro.serving.cache`:
   rate is non-decreasing and the simulated p95 batch latency is
   non-increasing: more resident bytes never serve traffic worse.
 * **Zero cost when disabled** — a service built with ``cache=None``
-  replays byte-identically to a raw :class:`FactorStore` (every
+  replays byte-identically to a raw one-replica :class:`ServingCluster` (every
   deterministic :class:`TrafficReport` aggregate equal, no cache block)
   and the dormant wiring costs <5% wall.  And with the cache *enabled*,
   the recommendations themselves are bitwise identical to the plain
@@ -26,6 +26,7 @@ from repro.serving import (
     FactorStore,
     RecommenderService,
     RequestSimulator,
+    ServingCluster,
     TieredFactorStore,
 )
 from repro.serving.simulator import QueryTrace
@@ -99,7 +100,7 @@ def test_hit_rate_and_p95_monotone_in_resident_fraction(result, trace, report):
     """Acceptance pin: more hot bytes => more hits and no worse p95."""
     rows = []
     for fraction in HOT_FRACTIONS:
-        sim = RequestSimulator(cached_store(result, fraction), k=10, max_batch=64, window_s=0.005)
+        sim = RequestSimulator(ServingCluster([cached_store(result, fraction)]), k=10, max_batch=64, window_s=0.005)
         replay = sim.run(trace)
         assert replay.cache, "tiered replay must report cache deltas"
         rows.append((fraction, replay.cache["hit_rate"], replay.latency_p95_s))
@@ -144,8 +145,8 @@ def test_cached_recommendations_bitwise_identical(result, report):
 
 def test_disabled_cache_replay_identical(result, trace, report):
     """Pin: ``cache=None`` leaves the replay aggregates byte-identical."""
-    raw = RequestSimulator(FactorStore.from_result(result, n_shards=4), k=10).run(trace)
-    service = RecommenderService(FactorStore.from_result(result, n_shards=4))
+    raw = RequestSimulator(ServingCluster([FactorStore.from_result(result, n_shards=4)]), k=10).run(trace)
+    service = RecommenderService(ServingCluster([FactorStore.from_result(result, n_shards=4)]))
     wired = service.simulate(trace, k=10)
     assert raw.cache == {} and wired.cache == {}
     assert report_key(raw) == report_key(wired)
@@ -159,10 +160,10 @@ def test_disabled_cache_replay_identical(result, trace, report):
 def test_disabled_cache_overhead_under_5_percent(result, trace, report):
     """Acceptance pin: the dormant cache hooks cost <5% wall on replay."""
     def run_raw():
-        RequestSimulator(FactorStore.from_result(result, n_shards=4), k=10).run(trace)
+        RequestSimulator(ServingCluster([FactorStore.from_result(result, n_shards=4)]), k=10).run(trace)
 
     def run_wired():
-        RecommenderService(FactorStore.from_result(result, n_shards=4)).simulate(trace, k=10)
+        RecommenderService(ServingCluster([FactorStore.from_result(result, n_shards=4)])).simulate(trace, k=10)
 
     run_raw()
     run_wired()

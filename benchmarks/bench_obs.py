@@ -26,7 +26,7 @@ from repro.core.config import ALSConfig, FitResult
 from repro.core.trainer import CuMF
 from repro.datasets.registry import DatasetSpec
 from repro.datasets.synthetic import generate_ratings
-from repro.serving import FactorStore, RecommenderService
+from repro.serving import FactorStore, RecommenderService, ServingCluster
 from repro.serving.simulator import QueryTrace
 
 M_USERS = 4_000
@@ -56,7 +56,7 @@ def trace():
 
 
 def fresh_service(result) -> RecommenderService:
-    return RecommenderService(FactorStore.from_result(result, n_shards=4))
+    return RecommenderService(ServingCluster([FactorStore.from_result(result, n_shards=4)]))
 
 
 def report_key(report) -> tuple:

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import FitResult
-from repro.serving import FactorStore, RecommenderService
+from repro.serving import FactorStore, RecommenderService, ServingCluster
 
 M_USERS = 5_000
 N_ITEMS = 20_000
@@ -47,7 +47,7 @@ def users():
 
 @pytest.fixture()
 def service(result):
-    return RecommenderService(FactorStore.from_result(result, n_shards=N_SHARDS))
+    return RecommenderService(ServingCluster([FactorStore.from_result(result, n_shards=N_SHARDS)]))
 
 
 def test_bench_service_recommend(benchmark, service, users):
@@ -58,7 +58,7 @@ def test_bench_service_recommend(benchmark, service, users):
 def test_envelope_matches_raw_payload(result, users):
     """The envelope carries exactly what the raw path returns."""
     raw = FactorStore.from_result(result, n_shards=N_SHARDS)
-    service = RecommenderService(FactorStore.from_result(result, n_shards=N_SHARDS))
+    service = RecommenderService(ServingCluster([FactorStore.from_result(result, n_shards=N_SHARDS)]))
     response = service.recommend(users, k=TOPK)
     assert response.ok and response.replica == 0
     assert response.payload == raw.recommend_batch(users, k=TOPK)
@@ -67,7 +67,7 @@ def test_envelope_matches_raw_payload(result, users):
 def test_envelope_overhead_under_5_percent(result, users, report):
     """Acceptance pin: service envelope wall overhead < 5% over the raw store."""
     raw = FactorStore.from_result(result, n_shards=N_SHARDS)
-    service = RecommenderService(FactorStore.from_result(result, n_shards=N_SHARDS))
+    service = RecommenderService(ServingCluster([FactorStore.from_result(result, n_shards=N_SHARDS)]))
 
     # Warm both paths (BLAS thread pools, allocator), then interleave the
     # timed rounds so drift hits both paths equally; take the best round

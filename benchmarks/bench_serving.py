@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import FitResult
-from repro.serving import FactorStore, QueryTrace, RequestSimulator
+from repro.serving import FactorStore, QueryTrace, RequestSimulator, ServingCluster
 
 M_USERS = 5_000
 N_ITEMS = 20_000
@@ -64,7 +64,7 @@ def test_bench_recommend_looped(benchmark, store, users):
 
 def test_bench_traffic_replay(benchmark, store):
     trace = QueryTrace.poisson(1_000, 20_000.0, M_USERS, seed=3)
-    sim = RequestSimulator(store, k=TOPK, max_batch=BATCH, window_s=0.01)
+    sim = RequestSimulator(ServingCluster([store]), k=TOPK, max_batch=BATCH, window_s=0.01)
     report = benchmark.pedantic(sim.run, args=(trace,), rounds=1, iterations=1)
     assert report.n_requests == 1_000
 

@@ -23,8 +23,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import FitResult
-from repro.serving import QueryTrace, RequestSimulator, TenantPolicy
-from repro.serving.store import FactorStore
+from repro.serving import FactorStore, QueryTrace, RequestSimulator, ServingCluster, TenantPolicy
 
 M_USERS = 5_000
 N_ITEMS = 20_000
@@ -46,26 +45,26 @@ def result():
     )
 
 
-def _store(result):
-    return FactorStore.from_result(result, n_shards=N_SHARDS)
+def _backend(result):
+    return ServingCluster([FactorStore.from_result(result, n_shards=N_SHARDS)])
 
 
 @pytest.fixture(scope="module")
 def per_query(result):
-    """Calibrated simulated service seconds per query on this store."""
-    sim = RequestSimulator(_store(result), k=TOPK, max_batch=MAX_BATCH, window_s=1e-3)
+    """Calibrated simulated service seconds per query on one store."""
+    sim = RequestSimulator(_backend(result), k=TOPK, max_batch=MAX_BATCH, window_s=1e-3)
     report = sim.run(QueryTrace.poisson(2000, 1e7, M_USERS, seed=5))
     return report.service_seconds / report.n_requests
 
 
-def _capacity(store, per_query):
-    return len(store.serving_units()) / per_query
+def _capacity(backend, per_query):
+    return backend.n_replicas / per_query
 
 
 def test_bench_overload_slo(result, per_query, report):
     """2x overload, three tenants: the SLO tenant is untouchable."""
-    store = _store(result)
-    capacity = _capacity(store, per_query)
+    backend = _backend(result)
+    capacity = _capacity(backend, per_query)
     slo_ms = 20 * MAX_BATCH * per_query * 1e3  # ~20 batch-times of queueing
     cap = 0.05 * capacity
     policies = [
@@ -77,7 +76,7 @@ def test_bench_overload_slo(result, per_query, report):
     duration = 24_000 / sum(rates.values())  # 2x overload, ~24k requests
     trace = QueryTrace.multi_tenant(rates, duration, M_USERS, seed=11)
     sim = RequestSimulator(
-        store,
+        backend,
         k=TOPK,
         max_batch=MAX_BATCH,
         window_s=2 * MAX_BATCH * per_query,
@@ -105,17 +104,17 @@ def test_bench_overload_slo(result, per_query, report):
 
 def test_bench_weighted_shares(result, per_query, report):
     """Two saturated tenants split capacity by WFQ weight within 10%."""
-    store = _store(result)
-    capacity = _capacity(store, per_query)
+    backend = _backend(result)
+    capacity = _capacity(backend, per_query)
     policies = [
         TenantPolicy("gold", weight=2.0, queue_limit=64),
         TenantPolicy("bronze", weight=1.0, queue_limit=64),
     ]
-    rate = 1.2 * capacity  # each tenant alone overloads the store
+    rate = 1.2 * capacity  # each tenant alone overloads the backend
     duration = 16_000 / (2 * rate)
     trace = QueryTrace.multi_tenant({"gold": rate, "bronze": rate}, duration, M_USERS, seed=13)
     sim = RequestSimulator(
-        store,
+        backend,
         k=TOPK,
         max_batch=MAX_BATCH,
         window_s=2 * MAX_BATCH * per_query,
@@ -156,7 +155,7 @@ def test_bench_zero_cost_when_unconfigured(result, report):
 
     def build(policies=None):
         return RequestSimulator(
-            _store(result),
+            _backend(result),
             k=TOPK,
             max_batch=MAX_BATCH,
             window_s=1e-3,

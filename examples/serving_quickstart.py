@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.core import ALSConfig, CuMF
 from repro.datasets import NETFLIX, generate_ratings
-from repro.serving import FactorStore, QueryTrace, RequestSimulator
+from repro.serving import FactorStore, QueryTrace, RequestSimulator, ServingCluster
 
 
 def main() -> None:
@@ -53,13 +53,15 @@ def main() -> None:
     recs = store.recommend(newcomer, k=3, exclude=data.train)
     print(f"folded-in user {newcomer}: " + ", ".join(f"item {i} ({s:.2f})" for i, s in recs))
 
-    # 5. Replay query traffic through the store in batched windows.
+    # 5. Replay query traffic through the store in batched windows; a
+    #    lone store is served as a one-replica cluster.
+    backend = ServingCluster([store])
     for trace in (
         QueryTrace.poisson(4000, 50_000.0, store.n_users, seed=7),
         QueryTrace.bursty(4000, 20_000.0, 200_000.0, store.n_users,
                           burst_every_s=0.05, burst_len_s=0.01, seed=7),
     ):
-        sim = RequestSimulator(store, k=10, exclude=data.train,
+        sim = RequestSimulator(backend, k=10, exclude=data.train,
                                max_batch=256, window_s=0.002)
         print()
         print(sim.run(trace).summary())

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import os
 import sys
+import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -32,6 +33,12 @@ from repro.serving import CacheConfig, QueryTrace, ServingConfig
 
 
 def main() -> None:
+    # The registry lives in a fresh directory, so every run starts at v0.
+    with tempfile.TemporaryDirectory() as registry_dir:
+        run(registry_dir)
+
+
+def run(registry_dir: str) -> None:
     # A wide item axis (4k items) so the tier split is visible: the hot
     # tier holds a real fraction of Θ, not a rounding error.
     spec = DatasetSpec("tiered-demo", 1200, 4000, 40_000, 16, 0.05, kind="synthetic")
@@ -48,7 +55,7 @@ def main() -> None:
             replicas=2,
             n_shards=2,
             ratings=data.train,
-            registry_dir="/tmp/repro-tiered-cache-registry",
+            registry_dir=registry_dir,
             cache=CacheConfig(
                 hot_fraction=0.15,
                 warm_bytes=int(0.5 * spec.n * 16 * 4),

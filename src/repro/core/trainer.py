@@ -188,10 +188,10 @@ class CuMF:
         With a ``registry_dir`` the fitted factors are published as the
         next registry version and the serving units are stamped with its
         label, enabling the service's refresh / rollout / rollback
-        plane.  One replica builds a single
-        :class:`~repro.serving.store.FactorStore`; more build a
-        :class:`~repro.serving.cluster.ServingCluster` behind the
-        configured router.
+        plane.  The backend is always a
+        :class:`~repro.serving.cluster.ServingCluster` of
+        ``config.replicas`` stores behind the configured router (one
+        replica is a one-replica cluster).
         """
         from dataclasses import replace
 
@@ -221,17 +221,14 @@ class CuMF:
 
             store_cls = TieredFactorStore
             store_kwargs["cache"] = config.cache
-        if config.replicas == 1:
-            backend = store_cls.from_result(result, log=log, **store_kwargs)
-        else:
-            backend = ServingCluster.from_result(
-                result,
-                config.replicas,
-                router=config.router,
-                store_cls=store_cls,
-                log=log,
-                **store_kwargs,
-            )
+        backend = ServingCluster.from_result(
+            result,
+            config.replicas,
+            router=config.router,
+            store_cls=store_cls,
+            log=log,
+            **store_kwargs,
+        )
         return RecommenderService(
             backend,
             registry=registry,

@@ -1,11 +1,12 @@
 """Tiered factor store: FactorStore fronted by the heat-aware cache.
 
 :class:`TieredFactorStore` is a drop-in :class:`~repro.serving.store.FactorStore`
-(it satisfies the same ``ServingBackend`` protocol surface and returns
-bit-identical top-k results) that models *where item-factor pages live*.
-The exact batched scan stays untouched; what changes is the
-materialization cost of the answers: every returned item's factor page
-is demanded from the tier hierarchy, and
+(it serves as a :class:`~repro.serving.cluster.ServingCluster` replica
+like any store and returns bit-identical top-k results) that models
+*where item-factor pages live*.  The exact batched scan stays
+untouched; what changes is the materialization cost of the answers:
+every returned item's factor page is demanded from the tier hierarchy,
+and
 
 * a **hot** page stamped with the current snapshot version is a hit —
   the factors were already on-device, no extra cost;
@@ -405,9 +406,3 @@ class TieredFactorStore(FactorStore):
     def resident_bytes(self) -> dict:
         """Bytes resident per tier, keyed by tier name."""
         return {name: self._pages.resident_bytes(t) for t, name in enumerate(TIER_NAMES)}
-
-    def stats_dict(self) -> dict:
-        """Serving counters plus the cache block."""
-        out = super().stats_dict()
-        out["cache"] = {**self.cache_stats.as_dict(), "resident_bytes": self.resident_bytes()}
-        return out

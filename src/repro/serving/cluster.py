@@ -1,9 +1,13 @@
-"""Replicated serving: R copies of one store behind a load-balancing router.
+"""The serving backend: R copies of one store behind a load-balancing router.
 
 One :class:`~repro.serving.store.FactorStore` is capacity-bound by its
 machine; a production tier scales *reads* by replication.  A
-:class:`ServingCluster` holds R replicas of one snapshot — each produced
-by :meth:`FactorStore.replicate`, i.e. an identical model on its own
+:class:`ServingCluster` is the one serving backend every driver speaks
+to — the traffic simulator, the rollout controller and the
+:class:`~repro.serving.service.facade.RecommenderService` — and a lone
+store is served as ``ServingCluster([store])``, a one-replica cluster.
+It holds R replicas of one snapshot — each produced by
+:meth:`FactorStore.replicate`, i.e. an identical model on its own
 independent simulated machine — and routes every batched top-k call
 through a pluggable :class:`~repro.serving.routing.Router` policy.
 Policies live in :mod:`repro.serving.routing` (round-robin /
@@ -127,6 +131,7 @@ class ServingCluster:
         n_replicas: int,
         router: Router | str = "least-loaded",
         store_cls: type[FactorStore] = FactorStore,
+        log=None,
         **store_kwargs,
     ) -> "ServingCluster":
         """Snapshot a finished training run straight into a cluster.
@@ -134,9 +139,8 @@ class ServingCluster:
         Each replica is built directly from the result (no intermediate
         throwaway store).  ``store_kwargs`` configure the per-replica
         stores; a shared ``machine`` is rejected because every replica
-        must own an independent simulated machine, and a ``log`` is
-        attached at the cluster level (never per replica, which would
-        record every write-through fold-in once per replica).
+        must own an independent simulated machine.  ``log`` is the
+        cluster's interaction log (see the class docs).
         ``store_cls`` selects the replica class — e.g. the tiered cache
         front (:class:`~repro.serving.cache.tiered.TieredFactorStore`)
         when ``ServingConfig.cache`` is set.
@@ -147,7 +151,6 @@ class ServingCluster:
             raise ValueError(
                 "replicas own independent machines; configure n_shards/score_dtype instead"
             )
-        log = store_kwargs.pop("log", None)
         replicas = [store_cls.from_result(result, **store_kwargs) for _ in range(n_replicas)]
         return cls(replicas, router=router, log=log)
 
@@ -237,7 +240,7 @@ class ServingCluster:
         )
 
     # ------------------------------------------------------------------ #
-    # ServingBackend protocol: routing surface
+    # routing surface: the simulator and the service route through these
     # ------------------------------------------------------------------ #
     def serving_units(self) -> list[FactorStore]:
         """The independently-clocked stores behind this backend."""
@@ -358,14 +361,16 @@ class ServingCluster:
     ) -> None:
         """Swap every replica to a new model, one at a time.
 
-        The cluster-level rollout hook of the ``ServingBackend``
-        protocol: each active replica is rotated out (drained) while its
-        store swaps, then restored, so concurrent direct traffic always
-        finds ``R - 1`` replicas serving; an already-draining replica is
-        swapped in place and left out of rotation.  For a scheduled
-        rolling swap against a registry (mid-trace, per-version query
-        accounting) use a
-        :class:`~repro.serving.lifecycle.rollout.RolloutController`.
+        The cluster-level rollout hook: each active replica is rotated
+        out (drained) while its store swaps, then restored, so concurrent
+        direct traffic always finds ``R - 1`` replicas serving; an
+        already-draining replica is swapped in place and left out of
+        rotation, and a one-replica cluster swaps its replica in place.
+        :meth:`RolloutController.rollout
+        <repro.serving.lifecycle.rollout.RolloutController.rollout>` is
+        this swap to a registry version; for a scheduled rolling swap
+        under traffic (mid-trace, per-version query accounting) use
+        :meth:`~repro.serving.lifecycle.rollout.RolloutController.plan_events`.
         """
         for i in range(self.n_replicas):
             rotate = self._active[i] and self.n_active > 1

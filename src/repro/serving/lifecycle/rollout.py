@@ -1,17 +1,16 @@
-"""Zero-downtime snapshot rollout across any serving backend.
+"""Zero-downtime snapshot rollout across a serving cluster.
 
 Shipping a refreshed model must not drop traffic.
-:class:`RolloutController` performs the classic rolling swap against any
-:class:`~repro.serving.service.protocol.ServingBackend`: one serving
-unit at a time is drained (the routing policy stops sending it batches),
-its :class:`~repro.serving.store.FactorStore` is swapped to the target
+:class:`RolloutController` performs the classic rolling swap against a
+:class:`~repro.serving.cluster.ServingCluster`: one replica at a time is
+drained (the routing policy stops sending it batches), its
+:class:`~repro.serving.store.FactorStore` is swapped to the target
 :class:`~repro.serving.lifecycle.registry.SnapshotRegistry` version, and
-it returns to rotation — so at every instant at least ``R - 1`` units
-serve, and a mid-rollout backend intentionally runs mixed v1/v2 for a
-while (top-k answers may differ per unit until the swap completes, the
-standard rollout trade-off).  A single-store backend is the degenerate
-one-unit case: its lone unit is swapped directly, since there is nobody
-to rotate behind.
+it returns to rotation — so at every instant at least ``R - 1`` replicas
+serve, and a mid-rollout cluster intentionally runs mixed v1/v2 for a
+while (top-k answers may differ per replica until the swap completes,
+the standard rollout trade-off).  A one-replica cluster swaps its lone
+replica in place, since there is nobody to rotate behind.
 
 Rollbacks are the same choreography run at an older version:
 :meth:`SnapshotRegistry.rollback` re-publishes the old factors as the
@@ -25,7 +24,7 @@ Two driving modes:
   :class:`~repro.serving.simulator.LifecycleEvent` s for
   :meth:`RequestSimulator.run`, which executes the drain/swap/restore
   choreography *mid-trace* on the simulated timeline while queries keep
-  flowing around the drained unit.
+  flowing around the drained replica.
 """
 
 from __future__ import annotations
@@ -37,22 +36,17 @@ from repro.serving.lifecycle.registry import Snapshot, SnapshotRegistry
 from repro.serving.simulator import LifecycleEvent
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, hints only
-    from repro.serving.service.protocol import ServingBackend
+    from repro.serving.cluster import ServingCluster
 
 __all__ = ["RolloutController"]
 
 
 class RolloutController:
-    """Rolls a serving backend from its current snapshot to a registry version."""
+    """Rolls a serving cluster from its current snapshot to a registry version."""
 
-    def __init__(self, backend: "ServingBackend", registry: SnapshotRegistry):
+    def __init__(self, backend: "ServingCluster", registry: SnapshotRegistry):
         self.backend = backend
         self.registry = registry
-
-    @property
-    def cluster(self) -> "ServingBackend":
-        """Deprecated alias for :attr:`backend` (pre-protocol name)."""
-        return self.backend
 
     # ------------------------------------------------------------------ #
     def _checked_snapshot(self, version: int | None) -> Snapshot:
@@ -84,34 +78,26 @@ class RolloutController:
         """
         return self._checked_snapshot(version)
 
-    def _swap(self, unit: int, snap: Snapshot) -> None:
-        self.backend.serving_units()[unit].swap_snapshot(
+    def _swap_and_restore(self, replica: int, snap: Snapshot) -> None:
+        self.backend.replicas[replica].swap_snapshot(
             snap.x, snap.theta, lam=snap.lam, weighted=snap.weighted, version=snap.label
         )
-
-    def _swap_and_restore(self, unit: int, snap: Snapshot) -> None:
-        self._swap(unit, snap)
-        self.backend.restore(unit)
+        self.backend.restore(replica)
 
     # ------------------------------------------------------------------ #
     def rollout(self, version: int | None = None) -> Snapshot:
-        """Swap every serving unit to ``version`` right now, one at a time.
+        """Swap every replica to ``version`` right now, one at a time.
 
-        Each unit is drained, swapped and restored before the next one
-        starts, so a backend serving direct (non-simulator) traffic
-        concurrently never sees fewer than ``R - 1`` active units.
+        This is :meth:`ServingCluster.swap_snapshot`: each replica in
+        rotation is drained, swapped and restored before the next one
+        starts, so a cluster serving direct (non-simulator) traffic
+        concurrently never sees fewer than ``R - 1`` active replicas.
         Returns the snapshot that was rolled out.
         """
         snap = self._checked_snapshot(version)
-        n_units = len(self.backend.serving_units())
-        if n_units == 1:
-            # Nothing to rotate behind: swap the lone unit directly
-            # (drain would refuse to take the last active unit out).
-            self._swap(0, snap)
-            return snap
-        for unit in range(n_units):
-            self.backend.drain(unit)
-            self._swap_and_restore(unit, snap)
+        self.backend.swap_snapshot(
+            snap.x, snap.theta, lam=snap.lam, weighted=snap.weighted, version=snap.label
+        )
         return snap
 
     def plan_events(
@@ -122,18 +108,18 @@ class RolloutController:
         step_s: float,
         swap_s: float | None = None,
     ) -> list[LifecycleEvent]:
-        """The rolling swap as simulator events, one unit per step.
+        """The rolling swap as simulator events, one replica per step.
 
-        Unit ``i`` is drained at ``start_s + i * step_s`` and comes
+        Replica ``i`` is drained at ``start_s + i * step_s`` and comes
         back — swapped to the new version — ``swap_s`` (simulated)
         seconds later, modelling the time a real replica spends loading
         the new factors.  ``swap_s`` defaults to half a step and must not
-        exceed ``step_s``, so at most one unit is out at a time.  Needs
-        at least two units (someone must serve while one drains); use
-        :meth:`rollout` for a single-store backend.
+        exceed ``step_s``, so at most one replica is out at a time.  Needs
+        at least two replicas (someone must serve while one drains); use
+        :meth:`rollout` for a one-replica cluster.
         """
-        n_units = len(self.backend.serving_units())
-        if n_units < 2:
+        n_replicas = self.backend.n_replicas
+        if n_replicas < 2:
             raise ValueError(
                 "a rolling swap under traffic needs at least 2 replicas; "
                 "use rollout() for a single-replica cluster"
@@ -148,29 +134,29 @@ class RolloutController:
             raise ValueError("need 0 < swap_s <= step_s (one replica out at a time)")
         snap = self._checked_snapshot(version)
         events: list[LifecycleEvent] = []
-        for unit in range(n_units):
-            drain_at = start_s + unit * step_s
+        for replica in range(n_replicas):
+            drain_at = start_s + replica * step_s
             events.append(
                 LifecycleEvent(
                     time=drain_at,
-                    action=partial(self.backend.drain, unit),
-                    label=f"drain r{unit}",
+                    action=partial(self.backend.drain, replica),
+                    label=f"drain r{replica}",
                 )
             )
             events.append(
                 LifecycleEvent(
                     time=drain_at + swap_s,
-                    action=partial(self._swap_and_restore, unit, snap),
-                    label=f"swap r{unit} -> {snap.label}",
+                    action=partial(self._swap_and_restore, replica, snap),
+                    label=f"swap r{replica} -> {snap.label}",
                 )
             )
         return events
 
     # ------------------------------------------------------------------ #
     def status(self) -> dict:
-        """Per-unit version/rotation view (for prints and asserts)."""
+        """Per-replica version/rotation view (for prints and asserts)."""
         return {
-            "versions": [unit.version for unit in self.backend.serving_units()],
+            "versions": [rep.version for rep in self.backend.replicas],
             "active": self.backend.active_indices(),
             "registry": self.registry.versions(),
         }

@@ -5,8 +5,8 @@ which routing policy, how many Θ shards per replica, whether serving-time
 ratings are logged, and where versioned snapshots live — and
 :meth:`~repro.core.trainer.CuMF.serve` turns it into a running
 :class:`~repro.serving.service.facade.RecommenderService`.  Every
-scenario that used to need its own ``export_*`` method (single store,
-replicated cluster, registry-backed rollout) is now a field choice, and
+scenario that used to need its own ``export_*`` method (one replica or
+many, registry-backed rollout) is now a field choice, and
 future ones (heterogeneous replicas, scheduled refresh) are meant to be
 new fields, not new constructors.
 """
@@ -35,17 +35,17 @@ class ServingConfig:
     Parameters
     ----------
     replicas:
-        Number of serving units.  ``1`` stands up a single
-        :class:`~repro.serving.store.FactorStore`; more builds a
-        :class:`~repro.serving.cluster.ServingCluster` of independent
-        replicas behind ``router``.
+        Number of independent :class:`~repro.serving.store.FactorStore`
+        replicas in the :class:`~repro.serving.cluster.ServingCluster`
+        that serves; ``1`` (default) is a one-replica cluster.
     router:
-        Routing policy for a replicated deployment — a registered policy
-        name or alias (see :func:`~repro.serving.routing.router_names`),
-        a ``{"name": ..., **kwargs}`` dict, or a
+        The cluster's routing policy — a registered policy name or alias
+        (see :func:`~repro.serving.routing.router_names`), a
+        ``{"name": ..., **kwargs}`` dict, or a
         :class:`~repro.serving.routing.Router` instance.  Custom
         policies added with :func:`~repro.serving.routing.register_router`
-        work here by name.  Ignored when ``replicas == 1``.
+        work here by name.  Traffic reports name it for every replica
+        count; with one replica every choice routes to replica 0.
     n_shards:
         Θ shards (simulated devices) per serving unit; ``None`` keeps
         the store default of one.

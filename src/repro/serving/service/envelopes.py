@@ -11,9 +11,9 @@ wants the raw payload either reads ``response.payload`` after checking
 an error envelope back into the exception the backend raised.
 
 Backend errors are *captured*, not propagated: a bad user id or a
-``k < 1`` still fails with the exact same message on every backend (the
-protocol suite pins that), but the service wraps it as
-``status="error"`` so one request cannot take down a serving loop.
+``k < 1`` still fails with the exact same message whatever the replica
+count (the parametrized service suite pins that), but the service wraps
+it as ``status="error"`` so one request cannot take down a serving loop.
 
 Multi-tenant serving widens the vocabulary without breaking old
 callers: requests carry a ``tenant`` id (``"default"`` when unset) and

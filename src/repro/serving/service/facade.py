@@ -1,4 +1,4 @@
-"""The serving front door: one facade over any :class:`ServingBackend`.
+"""The serving front door: one facade over a :class:`ServingCluster`.
 
 :class:`RecommenderService` splits serving into the two planes a
 production recommender actually has:
@@ -15,11 +15,10 @@ production recommender actually has:
   :meth:`restore` — the operator verbs that mutate the deployment, which
   raise on misuse like any other operator tool.
 
-The facade never asks what kind of backend it drives: a single
-:class:`~repro.serving.store.FactorStore` and an R-replica
-:class:`~repro.serving.cluster.ServingCluster` behave identically
-through the :class:`~repro.serving.service.protocol.ServingBackend`
-protocol.  Build one declaratively with
+The backend is always a :class:`~repro.serving.cluster.ServingCluster`;
+a single :class:`~repro.serving.store.FactorStore` is served as a
+one-replica cluster, so one deployment and many take the same path.
+Build one declaratively with
 :meth:`CuMF.serve(ServingConfig(...)) <repro.core.trainer.CuMF.serve>`.
 """
 
@@ -45,8 +44,8 @@ from repro.serving.tenancy import TenantPolicyTable, TenantScheduler
 from repro.sparse.csr import CSRMatrix
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, hints only
+    from repro.serving.cluster import ServingCluster
     from repro.serving.lifecycle.log import InteractionLog
-    from repro.serving.service.protocol import ServingBackend
     from repro.serving.simulator import LifecycleEvent, QueryTrace, TrafficReport
 
 __all__ = ["RecommenderService"]
@@ -58,19 +57,17 @@ class RecommenderService:
     Parameters
     ----------
     backend:
-        Any :class:`~repro.serving.service.protocol.ServingBackend` —
-        a :class:`~repro.serving.store.FactorStore`, a
-        :class:`~repro.serving.cluster.ServingCluster`, or something
-        new that satisfies the protocol.
+        The :class:`~repro.serving.cluster.ServingCluster` to serve from
+        (``ServingCluster([store])`` for a single store).
     registry:
         Optional :class:`~repro.serving.lifecycle.SnapshotRegistry`;
         required for the versioned admin verbs (refresh-to-version,
         rollout, rollback, snapshot).
     log:
         Optional :class:`~repro.serving.lifecycle.InteractionLog` that
-        :meth:`rate` and the backend's fold-ins record into.  Defaults
-        to the backend's attached log; when given and the backend has
-        none, it is wired onto the backend.
+        :meth:`rate` and the cluster's fold-ins record into.  Defaults
+        to the cluster's log; when given and the cluster has none, it is
+        attached to the cluster.
     ratings:
         The ratings matrix the served model was trained on — the default
         seen-item exclusion for :meth:`recommend` and the base matrix of
@@ -92,7 +89,7 @@ class RecommenderService:
 
     def __init__(
         self,
-        backend: "ServingBackend",
+        backend: "ServingCluster",
         *,
         registry: SnapshotRegistry | None = None,
         log: "InteractionLog | None" = None,
@@ -102,9 +99,9 @@ class RecommenderService:
         self.backend = backend
         self.registry = registry
         if log is None:
-            log = getattr(backend, "log", None)
-        elif getattr(backend, "log", None) is None:
-            backend.log = log  # wire fold-in recording through the backend
+            log = backend.log
+        elif backend.log is None:
+            backend.log = log  # fold-ins record through the cluster
         self.log = log
         self.ratings = ratings
         # A refresh published to the registry but not yet rolled out:
@@ -239,8 +236,7 @@ class RecommenderService:
 
     def _admission_clock(self) -> float:
         """Admission time on the backend's simulated-seconds timeline."""
-        loads = self.backend.loads()
-        return max(loads) if loads else 0.0
+        return max(self.backend.loads())
 
     def predict(
         self, users: Any, items: np.ndarray | None = None, *, tenant: str = "default"

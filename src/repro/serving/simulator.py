@@ -1,13 +1,14 @@
-"""Query-traffic simulation against a :class:`~repro.serving.store.FactorStore`.
+"""Query-traffic simulation against a :class:`~repro.serving.cluster.ServingCluster`.
 
 The serving tier is driven the way an online recommender actually sees
 load: requests arrive as a Poisson process (optionally with bursts), are
 coalesced into batched windows — a window dispatches when it is full or
 when its collection deadline passes, whichever comes first, the same
 policy a batched-window cache/ANN scheduler uses — and each batch is
-served by one :meth:`FactorStore.recommend_batch` call.  Time is the
-simulated-seconds timeline: arrivals come from the trace, service times
-from the store's per-device kernel estimates, so the report shows the
+served by one :meth:`FactorStore.recommend_batch` call on the replica
+the cluster's router picks.  Time is the simulated-seconds timeline:
+arrivals come from the trace, service times from the replica's
+per-device kernel estimates, so the report shows the
 throughput/latency trade-off of the batching window on the simulated
 hardware.
 
@@ -55,7 +56,7 @@ from repro.serving.tenancy import (
 from repro.sparse.csr import CSRMatrix
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, hints only
-    from repro.serving.service.protocol import ServingBackend
+    from repro.serving.cluster import ServingCluster
 
 __all__ = ["LifecycleEvent", "QueryTrace", "RequestSimulator", "TrafficReport"]
 
@@ -261,12 +262,11 @@ class QueryTrace:
 
 @dataclass(frozen=True)
 class TrafficReport:
-    """Outcome of replaying one trace through a store or a cluster.
+    """Outcome of replaying one trace through a serving cluster.
 
-    Against a single store the per-replica fields describe one replica;
-    against a :class:`~repro.serving.cluster.ServingCluster` they merge
-    the replicas' timelines: one query count, busy time and utilization
-    (busy / makespan) per replica, plus the routing policy used.
+    The per-replica fields merge the replicas' timelines: one query
+    count, busy time and utilization (busy / makespan) per replica, plus
+    the name of the routing policy used (also for a one-replica cluster).
 
     When the replay carried :class:`LifecycleEvent` s (e.g. a rolling
     snapshot swap), ``per_version_queries`` counts the queries each model
@@ -282,11 +282,11 @@ class TrafficReport:
     throughput then cover *served* queries only, since a shed request
     never consumed serving capacity.
 
-    When the serving units are tiered cache fronts
+    When the replicas are tiered cache fronts
     (:class:`~repro.serving.cache.tiered.TieredFactorStore`), ``cache``
     holds the cache counters *accrued during this replay* summed over
-    the units (hits/misses/promotions/..., with ``hit_rate`` recomputed
-    from the deltas); it stays empty for plain stores.
+    the replicas (hits/misses/promotions/..., with ``hit_rate``
+    recomputed from the deltas); it stays empty for plain stores.
     """
 
     label: str
@@ -482,20 +482,17 @@ class _Flow:
 
 
 class RequestSimulator:
-    """Replays a :class:`QueryTrace` through a store in batched windows.
+    """Replays a :class:`QueryTrace` through a serving cluster in batched windows.
 
     Parameters
     ----------
     store:
-        Any :class:`~repro.serving.service.protocol.ServingBackend` — a
-        single :class:`~repro.serving.store.FactorStore`, a
-        :class:`~repro.serving.cluster.ServingCluster`, or something new
-        that satisfies the protocol.  The simulator only speaks the
-        protocol: it keeps one server-free timeline per serving unit
-        (``serving_units``), offers the backend's routing policy the
-        outstanding work of the units in rotation (``active_indices`` /
-        ``route_among``), and reports per-unit query counts and
-        utilization; a lone store is simply a one-unit backend.
+        The :class:`~repro.serving.cluster.ServingCluster` to drive; a
+        lone store is replayed as ``ServingCluster([store])``.  The
+        simulator keeps one server-free timeline per replica, offers the
+        cluster's routing policy the outstanding work of the replicas in
+        rotation (``active_indices`` / ``route_among``), and reports
+        per-replica query counts and utilization.
     k:
         Top-k size of every query.
     exclude:
@@ -521,7 +518,7 @@ class RequestSimulator:
 
     def __init__(
         self,
-        store: "ServingBackend",
+        store: "ServingCluster",
         k: int = 10,
         exclude: CSRMatrix | None = None,
         max_batch: int = 256,

@@ -35,6 +35,7 @@ import numpy as np
 from repro.core.checkpoint import CheckpointManager
 from repro.core.config import ALSConfig, FitResult
 from repro.core.kernels import FLOAT_BYTES, batch_solve_profile, get_hermitian_profile
+from repro.core.validation import MESSAGES, require
 from repro.gpu.kernel import KernelProfile
 from repro.gpu.machine import MultiGPUMachine
 from repro.gpu.memory import MemoryKind
@@ -79,6 +80,25 @@ class ServingStats:
         }
 
 
+def _private_factors(x: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Validated private float64 copies of a factor pair.
+
+    Snapshot semantics: the store owns private, immutable copies, so
+    later training runs cannot mutate what is being served.  Non-finite
+    factors are refused with the shared ``MESSAGES["factors"]`` error.
+    """
+    x = np.array(x, dtype=np.float64, order="C", copy=True)
+    theta = np.array(theta, dtype=np.float64, order="C", copy=True)
+    if x.ndim != 2 or theta.ndim != 2:
+        raise ValueError("x and theta must be 2-D factor matrices")
+    if x.shape[1] != theta.shape[1]:
+        raise ValueError(
+            f"factor dimensions disagree: x has f={x.shape[1]}, theta f={theta.shape[1]}"
+        )
+    require(np.isfinite(x).all() and np.isfinite(theta).all(), MESSAGES["factors"])
+    return x, theta
+
+
 class FactorStore:
     """Serves top-k recommendations from frozen factor matrices.
 
@@ -106,10 +126,13 @@ class FactorStore:
         :class:`~repro.serving.lifecycle.SnapshotRegistry`); updated by
         :meth:`swap_snapshot` and reported per-version by the traffic
         simulator during rollouts.
-    log:
-        Optional :class:`~repro.serving.lifecycle.InteractionLog`; when
-        set, every :meth:`fold_in` records its ratings there so an
-        incremental refresh can later fold them back into training.
+
+    A store is one serving unit.  It is served behind a
+    :class:`~repro.serving.cluster.ServingCluster` of one replica or
+    more, which routes its queries and records its fold-ins.  Non-finite
+    factors are refused on every install path (construction,
+    :meth:`swap_snapshot`, :meth:`grow_items`) and leave the store as it
+    was; a NaN row would otherwise be answered as an empty ``ok``.
     """
 
     def __init__(
@@ -124,18 +147,8 @@ class FactorStore:
         score_dtype: type = np.float32,
         solver: str = "",
         version: str = "",
-        log=None,
     ):
-        # Snapshot semantics: the store owns private, immutable copies, so
-        # later training runs cannot mutate what is being served.
-        x = np.array(x, dtype=np.float64, order="C", copy=True)
-        theta = np.array(theta, dtype=np.float64, order="C", copy=True)
-        if x.ndim != 2 or theta.ndim != 2:
-            raise ValueError("x and theta must be 2-D factor matrices")
-        if x.shape[1] != theta.shape[1]:
-            raise ValueError(
-                f"factor dimensions disagree: x has f={x.shape[1]}, theta f={theta.shape[1]}"
-            )
+        x, theta = _private_factors(x, theta)
         if lam < 0:
             raise ValueError("lam must be non-negative")
         if machine is not None and n_shards is not None and n_shards != machine.n_gpus:
@@ -154,7 +167,6 @@ class FactorStore:
         self.weighted = weighted
         self.solver = solver
         self.version = str(version)
-        self.log = log
         self.machine = machine or MultiGPUMachine(n_gpus=n_shards)
         self.score_dtype = score_dtype
         self.stats = ServingStats()
@@ -328,9 +340,6 @@ class FactorStore:
         copies, its own machine/clock and zeroed stats, so replicas
         accumulate simulated time independently.  This is the building
         block :class:`~repro.serving.cluster.ServingCluster` replicates.
-        The interaction log is deliberately *not* carried over: a cluster
-        records each write-through fold-in once at the cluster level, not
-        once per replica.
         """
         if machine is None and n_shards is None:
             n_shards = self.n_shards
@@ -376,14 +385,7 @@ class FactorStore:
         load a real replica pays while drained.  ``lam``/``weighted``/
         ``version``/``solver`` update the serving metadata when given.
         """
-        x = np.array(x, dtype=np.float64, order="C", copy=True)
-        theta = np.array(theta, dtype=np.float64, order="C", copy=True)
-        if x.ndim != 2 or theta.ndim != 2:
-            raise ValueError("x and theta must be 2-D factor matrices")
-        if x.shape[1] != theta.shape[1]:
-            raise ValueError(
-                f"factor dimensions disagree: x has f={x.shape[1]}, theta f={theta.shape[1]}"
-            )
+        x, theta = _private_factors(x, theta)
         if theta.shape[0] < self.n_shards:
             raise ValueError(
                 f"new snapshot has {theta.shape[0]} items but the store keeps {self.n_shards} shards"
@@ -425,6 +427,7 @@ class FactorStore:
         new_theta = np.asarray(new_theta, dtype=np.float64)
         if new_theta.ndim != 2 or new_theta.shape[1] != self.f:
             raise ValueError(f"new item rows must have shape (j, {self.f})")
+        require(np.isfinite(new_theta).all(), MESSAGES["factors"])
         start = self.n_items
         if new_theta.shape[0] == 0:
             return start
@@ -469,62 +472,6 @@ class FactorStore:
             f"{type(self).__name__}({self.n_users} users x {self.n_items} items, "
             f"f={self.f}, {self.n_shards} shards)"
         )
-
-    # ------------------------------------------------------------------ #
-    # ServingBackend protocol: a lone store is a one-unit backend
-    # ------------------------------------------------------------------ #
-    def serving_units(self) -> list["FactorStore"]:
-        """The independently-clocked units behind this backend: just us."""
-        return [self]
-
-    def active_indices(self) -> list[int]:
-        """A single store is always in rotation."""
-        return [0]
-
-    def route(self) -> int:
-        """All traffic lands on the only unit."""
-        return 0
-
-    def route_among(self, loads) -> int:
-        """One unit, one choice (``loads`` has exactly one entry)."""
-        return 0
-
-    def routing_label(self) -> str:
-        """No routing policy to name for a single unit."""
-        return ""
-
-    def reset_routing(self) -> None:
-        """Nothing to reset: a single store routes trivially."""
-
-    def drain(self, unit: int) -> None:
-        """Refused: draining the only unit would leave nobody serving.
-
-        Identical semantics (and message) to draining the last active
-        replica of a :class:`~repro.serving.cluster.ServingCluster`.
-        """
-        if unit != 0:
-            raise ValueError(f"no replica {unit} in a 1-replica cluster")
-        raise RuntimeError("cannot drain the last active replica")
-
-    def restore(self, unit: int) -> None:
-        """Refused: the only unit is never draining."""
-        if unit != 0:
-            raise ValueError(f"no replica {unit} in a 1-replica cluster")
-        raise ValueError("replica 0 is not draining")
-
-    def loads(self) -> list[float]:
-        """Cumulative simulated serving seconds, one entry per unit."""
-        return [self.stats.simulated_seconds]
-
-    def stats_dict(self) -> dict:
-        """Serving counters plus identity, mirroring the cluster's shape."""
-        return {
-            "n_replicas": 1,
-            "n_active": 1,
-            "router": self.routing_label(),
-            "versions": [self.version],
-            **self.stats.as_dict(),
-        }
 
     # ------------------------------------------------------------------ #
     # queries
@@ -750,9 +697,10 @@ class FactorStore:
         factor is then solved against the frozen Θ with the training
         kernels (one Base-ALS user update).  The new row is appended to
         both the float64 master and the scoring copy, so the user is
-        immediately servable; their fold-in items count as "seen" for
-        exclusion purposes, and the ratings are recorded in the attached
-        interaction log (when there is one) for a later refresh.
+        immediately servable, and their fold-in items count as "seen" for
+        exclusion purposes.  Recording the ratings for a later refresh is
+        the cluster's job (:meth:`ServingCluster.fold_in`), once per
+        write-through fold-in.
         """
         items, ratings = validate_ratings(items, ratings, self.n_items)
         factor = fold_in_user(items, ratings, self.theta, self.lam, weighted=self.weighted)
@@ -761,8 +709,6 @@ class FactorStore:
         self.x.setflags(write=False)
         self._x_score = np.vstack([self._x_score, factor[None, :].astype(self.score_dtype)])
         self._folded_items[user] = np.unique(items)
-        if self.log is not None:
-            self.log.record(user, items, ratings)
 
         # Simulated cost: one Hermitian assembly + one 1-row batched solve
         # on device 0, plus shipping the ratings up and the factor back.

@@ -16,9 +16,9 @@ from repro.serving import CacheConfig, QueryTrace, ServingConfig, TieredFactorSt
 
 CFG = dict(hot_fraction=0.25, page_items=8, plan_window_s=1e-6, half_life_s=0.5)
 
-#: ``replicas=1`` serves straight off one ``TieredFactorStore``;
-#: ``replicas=3`` puts a ``ServingCluster`` behind the same facade.
-BACKENDS = [pytest.param(1, id="store"), pytest.param(3, id="cluster")]
+#: A one-replica ``ServingCluster`` (one ``TieredFactorStore``) and a
+#: three-replica one, behind the same facade.
+BACKENDS = [pytest.param(1, id="single"), pytest.param(3, id="cluster")]
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,6 @@ import pytest
 
 import repro.obs as obs
 from repro.core import ALSConfig, CuMF
-from repro.core.kernels import FLOAT_BYTES
 from repro.serving import (
     CacheConfig,
     FactorStore,
@@ -15,7 +14,6 @@ from repro.serving import (
     PageTable,
     QueryTrace,
     RequestSimulator,
-    ServingBackend,
     ServingCluster,
     ServingConfig,
     TenantPolicy,
@@ -231,7 +229,6 @@ class TestTieredStore:
         users = np.arange(0, 200, 3)
         expected = plain.recommend_batch(users, k=7, exclude=tiny_ratings.train)
         assert tiered.recommend_batch(users, k=7, exclude=tiny_ratings.train) == expected
-        assert isinstance(tiered, ServingBackend)
 
     def test_first_touch_misses_then_hits_after_promotion(self, fitted):
         tiered = tiered_store(fitted)
@@ -277,14 +274,14 @@ class TestTieredStore:
         assert stats.miss_seconds >= 1e-3
 
     def test_stats_dict_gains_cache_block(self, fitted):
-        tiered = tiered_store(fitted)
-        tiered.recommend_batch(np.arange(32), k=5)
-        stats = tiered.stats_dict()
+        cluster = ServingCluster([tiered_store(fitted)])
+        cluster.recommend_batch(np.arange(32), k=5)
+        stats = cluster.stats_dict()
         assert "cache" in stats
         assert stats["cache"]["misses"] > 0
         assert set(stats["cache"]["resident_bytes"]) == {"gpu-hot", "host-warm", "disk-cold"}
         # Plain stores are untouched.
-        assert "cache" not in FactorStore.from_result(fitted.result).stats_dict()
+        assert "cache" not in ServingCluster([FactorStore.from_result(fitted.result)]).stats_dict()
 
 
 # ---------------------------------------------------------------------- #
@@ -372,7 +369,7 @@ class TestClusterAndServeWiring:
 
     def test_serve_without_cache_builds_plain_stores(self, fitted):
         service = fitted.serve(ServingConfig(replicas=1))
-        assert type(service.backend) is FactorStore
+        assert [type(unit) for unit in service.backend.replicas] == [FactorStore]
 
 
 # ---------------------------------------------------------------------- #
@@ -382,7 +379,7 @@ class TestSimulatorCacheReporting:
     def test_fast_loop_reports_cache_deltas(self, fitted):
         tiered = tiered_store(fitted)
         trace = QueryTrace.poisson(400, 5_000.0, tiered.n_users, seed=2, user_exponent=1.1)
-        sim = RequestSimulator(tiered, k=5, max_batch=64, window_s=0.002)
+        sim = RequestSimulator(ServingCluster([tiered]), k=5, max_batch=64, window_s=0.002)
         report = sim.run(trace)
         assert report.cache["hits"] + report.cache["misses"] > 0
         assert report.cache["hit_rate"] == pytest.approx(
@@ -396,7 +393,7 @@ class TestSimulatorCacheReporting:
     def test_plain_backend_reports_empty_cache(self, fitted):
         plain = FactorStore.from_result(fitted.result, n_shards=2)
         trace = QueryTrace.poisson(100, 5_000.0, plain.n_users, seed=2)
-        report = RequestSimulator(plain, k=5).run(trace)
+        report = RequestSimulator(ServingCluster([plain]), k=5).run(trace)
         assert report.cache == {}
         assert "cache" not in report.summary()
 
@@ -406,7 +403,7 @@ class TestSimulatorCacheReporting:
             {"free": 2_000.0, "pro": 2_000.0}, 0.1, tiered.n_users, seed=3
         )
         sim = RequestSimulator(
-            tiered,
+            ServingCluster([tiered]),
             k=5,
             max_batch=64,
             window_s=0.002,

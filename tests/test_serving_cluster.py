@@ -29,7 +29,7 @@ def fitted(tiny_ratings):
 
 @pytest.fixture()
 def store(fitted):
-    return fitted.serve(ServingConfig(n_shards=2, log=False)).backend
+    return fitted.serve(ServingConfig(n_shards=2, log=False)).backend.replicas[0]
 
 
 @pytest.fixture(scope="module")
@@ -175,7 +175,7 @@ class TestRoutingInvariants:
 
     def test_single_replica_cluster_matches_plain_store(self, traffic_store):
         trace = QueryTrace.poisson(300, 100_000.0, traffic_store.n_users, seed=5)
-        plain = RequestSimulator(traffic_store.replicate(), k=5, max_batch=64).run(trace)
+        plain = RequestSimulator(ServingCluster([traffic_store.replicate()]), k=5, max_batch=64).run(trace)
         cluster = ServingCluster.from_store(traffic_store, 1, router="round-robin")
         routed = RequestSimulator(cluster, k=5, max_batch=64).run(trace)
         assert routed.makespan_s == pytest.approx(plain.makespan_s)

@@ -1,12 +1,14 @@
-"""Unified serving API: protocol conformance, envelopes, rollback, compaction.
+"""Unified serving API: the cluster backend, envelopes, rollback, compaction.
 
 The heart of this file is the parametrized backend suite: every test
 that takes the ``backend`` / ``service`` fixture runs against *both* a
-single :class:`FactorStore` and a 2-replica :class:`ServingCluster`,
-pinning the ``ServingBackend`` contract — identical envelope fields,
-identical error messages, identical drain/rollout semantics — on every
-backend the protocol admits.
+one-replica :class:`ServingCluster` (how a lone :class:`FactorStore` is
+served) and a 2-replica one, pinning identical envelope fields,
+identical error messages and identical drain/rollout semantics whatever
+the replica count.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -25,7 +27,6 @@ from repro.serving import (
     RequestSimulator,
     RolloutController,
     ServeResponse,
-    ServingBackend,
     ServingCluster,
     ServingConfig,
     SnapshotRegistry,
@@ -49,13 +50,13 @@ def fitted(data):
     return model
 
 
-BACKENDS = ["store", "cluster"]
+BACKENDS = ["single", "cluster"]
 
 
 def _build_backend(kind: str, fitted, log=None):
-    if kind == "store":
-        return FactorStore.from_result(fitted.result, n_shards=2, log=log)
     store = FactorStore.from_result(fitted.result, n_shards=2)
+    if kind == "single":
+        return ServingCluster([store], log=log)
     return ServingCluster.from_store(store, n_replicas=2, log=log)
 
 
@@ -70,12 +71,9 @@ def service(backend, data):
 
 
 # ---------------------------------------------------------------------- #
-# protocol conformance
+# the cluster backend, whatever the replica count
 # ---------------------------------------------------------------------- #
-class TestServingBackendProtocol:
-    def test_satisfies_protocol(self, backend):
-        assert isinstance(backend, ServingBackend)
-
+class TestClusterBackend:
     def test_units_and_rotation(self, backend):
         units = backend.serving_units()
         assert len(units) >= 1
@@ -88,7 +86,7 @@ class TestServingBackendProtocol:
             assert backend.route() in backend.active_indices()
 
     def test_drain_last_active_refused_identically(self, backend):
-        """Both backends refuse to empty the rotation with one message."""
+        """Any replica count refuses to empty the rotation with one message."""
         active = backend.active_indices()
         for unit in active[:-1]:
             backend.drain(unit)
@@ -215,6 +213,19 @@ class TestEnvelopes:
         with pytest.raises(ValueError, match="finite"):
             service.fold_in(np.array([1, 2]), np.array([4.0, bad]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_swap_refused_answers_stay_full(self, service, bad):
+        """A refused snapshot never turns into an empty ``ok`` answer."""
+        live = service.backend.replicas[0]
+        x = np.array(live.x, copy=True)
+        x[0, 0] = bad
+        with pytest.raises(ValueError, match=re.escape(MESSAGES["factors"])):
+            service.backend.swap_snapshot(x, live.theta, version="poisoned")
+        assert service.versions() == [""] * service.backend.n_replicas
+        assert service.backend.active_indices() == list(range(service.backend.n_replicas))
+        response = service.recommend(np.array([0]), k=3)
+        assert response.ok and len(response.payload[0]) == 3
+
     def test_non_finite_rating_cannot_poison_refresh(self, service):
         service.rate(4, np.array([1]), np.array([np.nan]))
         service.rate(4, np.array([2]), np.array([4.0])).raise_for_status()
@@ -225,7 +236,7 @@ class TestEnvelopes:
 
 
 # ---------------------------------------------------------------------- #
-# k <= 0 regression: identical ValueError on the store and cluster paths
+# k <= 0 regression: identical ValueError whatever the replica count
 # ---------------------------------------------------------------------- #
 class TestTopKValidation:
     @pytest.mark.parametrize("k", [0, -3])
@@ -252,10 +263,11 @@ class TestTopKValidation:
 # CuMF.serve: the one front door
 # ---------------------------------------------------------------------- #
 class TestServeConstruction:
-    def test_single_replica_builds_store(self, fitted, data):
+    def test_single_replica_builds_one_replica_cluster(self, fitted, data):
         service = fitted.serve(ServingConfig(n_shards=2, ratings=data.train))
-        assert isinstance(service.backend, FactorStore)
-        assert service.backend.n_shards == 2
+        assert isinstance(service.backend, ServingCluster)
+        assert service.backend.n_replicas == 1
+        assert service.backend.replicas[0].n_shards == 2
         assert isinstance(service.log, InteractionLog)
         assert service.backend.log is service.log
 
@@ -268,7 +280,7 @@ class TestServeConstruction:
 
     def test_overrides_patch_config(self, fitted):
         service = fitted.serve(ServingConfig(replicas=2), replicas=1, log=False)
-        assert isinstance(service.backend, FactorStore)
+        assert service.backend.n_replicas == 1
         assert service.log is None
 
     def test_registry_dir_publishes_and_stamps(self, fitted, tmp_path):
@@ -290,8 +302,8 @@ class TestServeConstruction:
     def test_serve_replaces_export_shims(self, fitted, tmp_path):
         for name in ("export_store", "export_cluster", "export_registry"):
             assert not hasattr(CuMF, name), name
-        assert isinstance(fitted.serve(ServingConfig(n_shards=2)).backend, FactorStore)
-        assert isinstance(fitted.serve(ServingConfig(replicas=2)).backend, ServingCluster)
+        assert fitted.serve(ServingConfig(n_shards=2)).backend.n_replicas == 1
+        assert fitted.serve(ServingConfig(replicas=2)).backend.n_replicas == 2
         registry = fitted.serve(ServingConfig(registry_dir=str(tmp_path))).registry
         assert registry.versions() == [0]
 

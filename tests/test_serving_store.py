@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import os
+import re
 
 import numpy as np
 import pytest
 
 from repro.core import ALSConfig, CuMF
 from repro.core.checkpoint import CheckpointManager
+from repro.core.validation import MESSAGES
 from repro.gpu.machine import MultiGPUMachine
 from repro.serving import FactorStore, ServingConfig
 
@@ -22,7 +24,7 @@ def fitted(tiny_ratings):
 
 @pytest.fixture()
 def store(fitted):
-    return fitted.serve(ServingConfig(n_shards=3, log=False)).backend
+    return fitted.serve(ServingConfig(n_shards=3, log=False)).backend.replicas[0]
 
 
 class TestConstruction:
@@ -34,7 +36,7 @@ class TestConstruction:
         assert store.n_items == fitted.result.theta.shape[0]
 
     def test_shards_cover_theta(self, fitted):
-        store = fitted.serve(ServingConfig(n_shards=4, log=False)).backend
+        store = fitted.serve(ServingConfig(n_shards=4, log=False)).backend.replicas[0]
         rebuilt = np.concatenate(store._shards, axis=0)
         np.testing.assert_array_equal(rebuilt, store.theta.astype(store.score_dtype))
         assert store.partition.bounds[-1] == store.n_items
@@ -56,12 +58,60 @@ class TestConstruction:
 
     def test_store_is_a_snapshot(self, fitted):
         x_before = fitted.result.x.copy()
-        store = fitted.serve(ServingConfig(log=False)).backend
+        store = fitted.serve(ServingConfig(log=False)).backend.replicas[0]
         try:
             fitted.result.x += 1.0  # training-side mutation must not leak into serving
             np.testing.assert_array_equal(store.x, x_before)
         finally:
             fitted.result.x -= 1.0
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf]
+FACTORS_REFUSED = re.escape(MESSAGES["factors"])
+
+
+def _poisoned(matrix: np.ndarray, bad: float) -> np.ndarray:
+    out = np.array(matrix, dtype=np.float64, copy=True)
+    out[out.shape[0] // 2, 0] = bad
+    return out
+
+
+class TestNonFiniteFactorsRefused:
+    """Every install path refuses NaN/inf factors and leaves the store as it was.
+
+    A non-finite row scores NaN against every item, so its user would be
+    answered with an empty ``ok`` list.
+    """
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_constructor(self, fitted, bad):
+        x, theta = fitted.result.x, fitted.result.theta
+        with pytest.raises(ValueError, match=FACTORS_REFUSED):
+            FactorStore(_poisoned(x, bad), theta)
+        with pytest.raises(ValueError, match=FACTORS_REFUSED):
+            FactorStore(x, _poisoned(theta, bad))
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_swap_snapshot(self, store, bad):
+        x, theta = store.x, store.theta
+        answers = store.recommend_batch(np.arange(4), k=5)
+        clock = store.stats.simulated_seconds
+        for args in ((_poisoned(x, bad), theta), (x, _poisoned(theta, bad))):
+            with pytest.raises(ValueError, match=FACTORS_REFUSED):
+                store.swap_snapshot(*args, lam=1.0, version="bad")
+        assert store.x is x and store.theta is theta
+        assert (store.lam, store.version) == (0.05, "")
+        assert store.stats.simulated_seconds == clock
+        assert store.recommend_batch(np.arange(4), k=5) == answers
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_grow_items(self, store, bad):
+        theta, shards = store.theta, store._shards
+        clock = store.stats.simulated_seconds
+        with pytest.raises(ValueError, match=FACTORS_REFUSED):
+            store.grow_items(_poisoned(np.ones((3, store.f)), bad))
+        assert store.theta is theta and store._shards is shards
+        assert store.stats.simulated_seconds == clock
 
 
 class TestBatchedTopK:
@@ -127,7 +177,7 @@ class TestBatchedTopK:
 
 class TestSimulatedTime:
     def test_batches_advance_the_clock(self, fitted):
-        store = fitted.serve(ServingConfig(n_shards=2, log=False)).backend
+        store = fitted.serve(ServingConfig(n_shards=2, log=False)).backend.replicas[0]
         assert store.stats.simulated_seconds == 0.0
         store.recommend_batch(np.arange(32), k=5)
         assert store.stats.queries == 32
@@ -277,7 +327,7 @@ class TestPerDeviceAccounting:
         assert store.stats.per_device_seconds == pytest.approx(tenant.stats.per_device_seconds)
 
     def test_fold_in_charges_device_zero(self, fitted, tiny_ratings):
-        store = fitted.serve(ServingConfig(n_shards=2, log=False)).backend
+        store = fitted.serve(ServingConfig(n_shards=2, log=False)).backend.replicas[0]
         store.recommend_batch(np.arange(8), k=3)
         before = dict(store.stats.per_device_seconds)
         store.fold_in(*tiny_ratings.train.row(2))
@@ -285,7 +335,7 @@ class TestPerDeviceAccounting:
         assert store.stats.per_device_seconds[1] == before[1]  # solve runs on device 0
 
     def test_deltas_accumulate_batch_over_batch(self, fitted):
-        store = fitted.serve(ServingConfig(n_shards=2, log=False)).backend
+        store = fitted.serve(ServingConfig(n_shards=2, log=False)).backend.replicas[0]
         store.recommend_batch(np.arange(8), k=3)
         one_batch = dict(store.stats.per_device_seconds)
         store.recommend_batch(np.arange(8), k=3)

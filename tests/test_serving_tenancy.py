@@ -4,8 +4,8 @@ Covers the tenancy layer end to end — :class:`TenantPolicy` /
 :class:`TenantPolicyTable` validation, the :class:`TenantScheduler`
 token-bucket and virtual-clock mechanics, the simulator's scheduled
 replay (cap enforcement, weighted fair shares, priority shedding,
-degraded service, per-tenant report math) on BOTH backends (store and
-cluster), the facade's admission path, and the router registry
+degraded service, per-tenant report math) on one-replica and 2-replica
+clusters, the facade's admission path, and the router registry
 satellites.  The pins at the bottom of the replay tests require that a
 trivial single-tenant policy, and tenant labels without a policy table,
 reproduce the plain replay's aggregates exactly.
@@ -58,13 +58,13 @@ def fitted(data):
     return model
 
 
-BACKENDS = ["store", "cluster"]
+BACKENDS = ["single", "cluster"]
 
 
 def _build_backend(kind: str, fitted, log=None):
-    if kind == "store":
-        return FactorStore.from_result(fitted.result, n_shards=2, log=log)
     store = FactorStore.from_result(fitted.result, n_shards=2)
+    if kind == "single":
+        return ServingCluster([store], log=log)
     return ServingCluster.from_store(store, n_replicas=2, log=log)
 
 
@@ -82,7 +82,7 @@ def backend(backend_kind, fitted):
 def per_query_s(fitted, n_users):
     """Calibrated simulated service cost per query (one store unit)."""
     store = FactorStore.from_result(fitted.result, n_shards=2)
-    sim = RequestSimulator(store, k=10, max_batch=32, window_s=1e-3)
+    sim = RequestSimulator(ServingCluster([store]), k=10, max_batch=32, window_s=1e-3)
     report = sim.run(QueryTrace.poisson(1000, 1e7, n_users, seed=5))
     return report.service_seconds / report.n_requests
 
@@ -298,7 +298,7 @@ class TestTraces:
 
 
 # ---------------------------------------------------------------------- #
-# scheduled replay: the tentpole behaviours, on both backends
+# scheduled replay: the tentpole behaviours, on 1 and 2 replicas
 # ---------------------------------------------------------------------- #
 class TestScheduledReplay:
     def test_cap_enforcement(self, backend, per_query_s, n_users):
