@@ -31,7 +31,7 @@ def build_catalogue(n_items: int) -> list[str]:
 
 def main() -> None:
     # 1. "Collect" ratings: here a synthetic low-rank + noise generator stands
-    # in for the production rating log (see DESIGN.md substitutions).
+    # in for the production rating log.
     spec = DatasetSpec("movies", m=3000, n=400, nz=120_000, f=16, lam=0.05, kind="synthetic")
     data = generate_ratings(spec, seed=5, noise_sigma=0.25, test_fraction=0.0)
     ratings = data.train

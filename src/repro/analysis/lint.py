@@ -17,9 +17,11 @@ REP003  raw-valueerror         config/registry modules raise through
                                ``ValueError(...)``
 REP004  module-registry-capture no module-level ``obs.get_registry()`` /
                                ``get_tracer()`` capture (stales the no-op swap)
-REP005  registry-mutation      registry dicts (``_REGISTRY`` / ``_ALIASES``)
-                               are only mutated by ``register_*`` functions in
-                               their own module
+REP005  registry-mutation      a ``Registry``'s tables (``_specs`` /
+                               ``_aliases``) are only mutated by its own
+                               ``register`` / ``unregister``; module registry
+                               dicts (``_REGISTRY`` / ``_ALIASES``) only by
+                               ``register_*`` functions in their own module
 REP006  protocol-isinstance    no ``isinstance`` forks against the
                                ``Router`` protocol
 REP007  global-seed            no global ``np.random.seed`` / ``random.seed``
@@ -55,7 +57,7 @@ LINT_RULES = {
     "REP002": "closure captures a loop variable without binding it as a default",
     "REP003": "bare ValueError in a config/registry module; raise through repro.core.validation",
     "REP004": "module-level observability capture; call obs.get_registry()/get_tracer() at use time",
-    "REP005": "registry dict mutated outside its module's register_* functions",
+    "REP005": "registry table mutated outside Registry.register/unregister (or a module dict outside its register_* functions)",
     "REP006": "isinstance fork against a runtime protocol (Router)",
     "REP007": "global RNG seeding (np.random.seed / random.seed); pass seed= explicitly",
     "REP008": "time.sleep call; wait on the simulated clock or an event, never the host",
@@ -74,6 +76,8 @@ _WALL_CLOCK_ATTRS = ("time", "perf_counter", "monotonic", "process_time", "monot
 _WALL_CLOCK_NAMES = ("perf_counter", "monotonic", "process_time", "monotonic_ns", "perf_counter_ns")
 _OBS_CAPTURES = ("get_registry", "get_tracer")
 _REGISTRY_DICTS = ("_REGISTRY", "_ALIASES")
+_REGISTRY_CLASS = "Registry"
+_REGISTRY_TABLES = ("_specs", "_aliases")
 _REGISTRY_MUTATORS = ("update", "pop", "clear", "setdefault", "popitem")
 _PROTOCOL_TYPES = ("Router",)
 _REGISTER_FN = re.compile(r"^_?(un)?register")
@@ -129,6 +133,7 @@ class _Linter(ast.NodeVisitor):
         self.findings: list[Finding] = []
         self.loop_targets: list[set[str]] = []
         self.function_stack: list[str] = []
+        self.class_stack: list[str] = []
         self.simulated = _in_simulated_path(path)
         self.config_registry = _in_config_registry(path)
         self.module_registry_dicts = self._module_registry_dicts(tree)
@@ -245,25 +250,41 @@ class _Linter(ast.NodeVisitor):
                 "registry is swapped; call it inside the function that uses it",
             )
 
-    # -- REP005: registry dict mutation ----------------------------------- #
-    def _registry_dict_name(self, expr: ast.expr) -> str:
+    # -- REP005: registry table mutation ---------------------------------- #
+    def _registry_table_name(self, expr: ast.expr) -> str:
         if isinstance(expr, ast.Name) and expr.id in _REGISTRY_DICTS:
             return expr.id
-        if isinstance(expr, ast.Attribute) and expr.attr in _REGISTRY_DICTS:
+        if isinstance(expr, ast.Attribute) and expr.attr in (*_REGISTRY_DICTS, *_REGISTRY_TABLES):
             return f"{ast.unparse(expr.value)}.{expr.attr}"
         return ""
 
     def _mutation_allowed(self, expr: ast.expr) -> bool:
-        """Bare names may be mutated by this module's own register functions."""
-        if not isinstance(expr, ast.Name) or expr.id not in self.module_registry_dicts:
+        """Only the owner's register/unregister code may mutate a table.
+
+        A module dict is owned by that module's ``register_*`` functions; a
+        ``Registry`` table by ``self`` inside ``Registry.register`` /
+        ``unregister``.
+        """
+        if not any(_REGISTER_FN.match(fn) for fn in self.function_stack):
             return False
-        return any(_REGISTER_FN.match(fn) for fn in self.function_stack)
+        if isinstance(expr, ast.Name):
+            return expr.id in self.module_registry_dicts
+        return (
+            isinstance(expr, ast.Attribute)
+            and expr.attr in _REGISTRY_TABLES
+            and isinstance(expr.value, ast.Name)
+            and expr.value.id == "self"
+            and self.class_stack[-1:] == [_REGISTRY_CLASS]
+        )
 
     def _check_registry_mutation(self, target: ast.expr, node: ast.AST) -> None:
         if isinstance(target, ast.Subscript):
-            name = self._registry_dict_name(target.value)
-            if name and not self._mutation_allowed(target.value):
-                self.report("REP005", node, f"direct mutation of registry dict {name}; go through its register_* API")
+            self._check_registry_write(target.value, node)
+
+    def _check_registry_write(self, expr: ast.expr, node: ast.AST) -> None:
+        name = self._registry_table_name(expr)
+        if name and not self._mutation_allowed(expr):
+            self.report("REP005", node, f"direct mutation of registry table {name}; go through Registry.register/unregister")
 
     def visit_Assign(self, node: ast.Assign) -> None:
         for target in node.targets:
@@ -302,9 +323,7 @@ class _Linter(ast.NodeVisitor):
         self._check_protocol_isinstance(node)
         self._check_seed_and_sleep(node)
         if isinstance(node.func, ast.Attribute) and node.func.attr in _REGISTRY_MUTATORS:
-            name = self._registry_dict_name(node.func.value)
-            if name and not self._mutation_allowed(node.func.value):
-                self.report("REP005", node, f"direct mutation of registry dict {name}; go through its register_* API")
+            self._check_registry_write(node.func.value, node)
         self.generic_visit(node)
 
     def _visit_loop(self, node: ast.For | ast.AsyncFor) -> None:
@@ -351,6 +370,11 @@ class _Linter(ast.NodeVisitor):
 
     visit_FunctionDef = _visit_function
     visit_AsyncFunctionDef = _visit_function
+
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        self.class_stack.append(node.name)
+        self.generic_visit(node)
+        self.class_stack.pop()
 
     def visit_Lambda(self, node: ast.Lambda) -> None:
         self._check_loop_closure(node)

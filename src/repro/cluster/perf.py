@@ -19,7 +19,7 @@ data movement the respective system performs:
 
 These are deliberately coarse first-principles models; the paper's own
 baseline numbers are wall-clock measurements on clusters this reproduction
-cannot access (see DESIGN.md substitutions).
+cannot access.
 """
 
 from __future__ import annotations

@@ -28,6 +28,10 @@ scheduler (:mod:`repro.core.schedule` — ``make_scheduler`` /
 simulated machine and records chrome-tracing-exportable traces;
 :class:`~repro.core.streaming.StreamingALS` (``"streaming-als"``)
 feeds rating chunks through the same machinery as arriving waves.
+
+Solvers, schedulers and routers are each requested by name from one
+:class:`~repro.core.registry.Registry` instance (``SOLVERS``,
+``SCHEDULERS`` and ``repro.serving.ROUTERS``).
 """
 
 from repro.core.config import ALSConfig, FitResult, IterationStats
@@ -44,7 +48,9 @@ from repro.core.als_mo import MemoryOptimizedALS
 from repro.core.als_su import ScaleUpALS
 from repro.core.streaming import StreamingALS
 from repro.core.taskgraph import DataObject, Task, TaskGraph
+from repro.core.registry import Registry, RegistrySpec
 from repro.core.schedule import (
+    SCHEDULERS,
     ExecutionTrace,
     Scheduler,
     execute_graph,
@@ -61,6 +67,7 @@ from repro.core.solver import (
     CheckpointCallback,
     EarlyStopping,
     FitCallback,
+    SOLVERS,
     MetricLogger,
     Solver,
     SolverStep,
@@ -92,6 +99,9 @@ __all__ = [
     "DataObject",
     "Task",
     "TaskGraph",
+    "Registry",
+    "RegistrySpec",
+    "SCHEDULERS",
     "Scheduler",
     "ExecutionTrace",
     "execute_graph",
@@ -106,6 +116,7 @@ __all__ = [
     "sgd_epoch",
     "Solver",
     "SolverStep",
+    "SOLVERS",
     "make_solver",
     "register_solver",
     "solver_names",

@@ -9,8 +9,8 @@ package is the training-side twin of the PR-4 serving redesign:
 
 * :class:`~repro.core.solver.protocol.Solver` — the runtime-checkable
   contract (``name``, ``fit``, ``iterate``) every solver satisfies;
-* :mod:`~repro.core.solver.registry` — ``register_solver`` /
-  ``make_solver``: declarative construction of any registered solver
+* :mod:`~repro.core.solver.registry` — :data:`SOLVERS` with
+  ``register_solver`` / ``make_solver``: declarative construction of any registered solver
   (the three ALS levels *and* all baselines) from a name plus uniform
   hyper-parameter keywords;
 * :class:`~repro.core.solver.session.TrainingSession` — the one loop
@@ -24,7 +24,7 @@ solvers from the registry instead of hand-wiring classes.
 
 from repro.core.solver.protocol import Solver, SolverStep, StashedBreakdown, apply_warm_start
 from repro.core.solver.registry import (
-    SolverSpec,
+    SOLVERS,
     get_solver_spec,
     make_solver,
     register_solver,
@@ -42,7 +42,7 @@ from repro.core.solver.session import (
 __all__ = [
     "Solver",
     "SolverStep",
-    "SolverSpec",
+    "SOLVERS",
     "StashedBreakdown",
     "apply_warm_start",
     "register_solver",

@@ -26,21 +26,21 @@ baseline the paper compares against (``ccd++``,
 with :func:`register_solver` and immediately work everywhere a name is
 accepted — ``CuMF(backend=...)``, the experiment drivers, the
 conformance suite and ``bench_solvers.py``.
+
+The table is :data:`SOLVERS`, one :class:`~repro.core.registry.Registry`;
+``register_solver`` / ``make_solver`` / ``get_solver_spec`` /
+``solver_names`` / ``solver_catalogue`` are its bound methods.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable
+from dataclasses import replace
 
-from repro.core.validation import duplicate_name_error, prebuilt_override_error, spec_needs_name_error, unknown_name_error
+from repro.core.registry import Registry
 from repro.gpu.specs import TITAN_X
 
-if TYPE_CHECKING:  # pragma: no cover - hints only
-    from repro.core.solver.protocol import Solver
-
 __all__ = [
-    "SolverSpec",
+    "SOLVERS",
     "register_solver",
     "make_solver",
     "get_solver_spec",
@@ -48,92 +48,13 @@ __all__ = [
     "solver_catalogue",
 ]
 
-
-@dataclass(frozen=True)
-class SolverSpec:
-    """One registry entry: a canonical name, a factory, and metadata."""
-
-    name: str
-    factory: Callable[..., "Solver"]
-    description: str = ""
-    kind: str = ""
-    aliases: tuple[str, ...] = ()
-
-
-_REGISTRY: dict[str, SolverSpec] = {}
-_ALIASES: dict[str, str] = {}
-
-
-def register_solver(
-    name: str,
-    factory: Callable[..., "Solver"],
-    *,
-    description: str = "",
-    kind: str = "",
-    aliases: tuple[str, ...] = (),
-) -> SolverSpec:
-    """Add a solver factory under ``name`` (plus ``aliases``); returns the spec.
-
-    ``factory(config=None, **kwargs) -> Solver`` builds a fresh solver
-    per call; names and aliases share one namespace and must be unique.
-    """
-    spec = SolverSpec(name=name, factory=factory, description=description, kind=kind, aliases=tuple(aliases))
-    for label in (name, *spec.aliases):
-        if label in _REGISTRY or label in _ALIASES:
-            raise duplicate_name_error("solver", label)
-    _REGISTRY[name] = spec
-    for alias in spec.aliases:
-        _ALIASES[alias] = name
-    return spec
-
-
-def solver_names() -> tuple[str, ...]:
-    """Canonical names of every registered solver (aliases excluded)."""
-    return tuple(_REGISTRY)
-
-
-def solver_catalogue() -> list[dict]:
-    """One row per registered solver (name, kind, description, aliases)."""
-    return [
-        {"name": spec.name, "kind": spec.kind, "description": spec.description, "aliases": list(spec.aliases)}
-        for spec in _REGISTRY.values()
-    ]
-
-
-def get_solver_spec(name: str) -> SolverSpec:
-    """Resolve a name or alias to its :class:`SolverSpec` (ValueError if unknown)."""
-    canonical = _ALIASES.get(name, name)
-    try:
-        return _REGISTRY[canonical]
-    except KeyError:
-        raise unknown_name_error("solver", name, set(_REGISTRY) | set(_ALIASES)) from None
-
-
-def make_solver(spec, /, **kwargs) -> "Solver":
-    """Build a solver from a declarative spec.
-
-    ``spec`` is a registered name or alias, a ``{"name": ..., **kwargs}``
-    dict (explicit keywords override the dict's), a :class:`SolverSpec`,
-    or an already-built solver (returned as-is; overrides are refused
-    because a built solver's hyper-parameters are fixed).
-    """
-    if isinstance(spec, str):
-        return get_solver_spec(spec).factory(**kwargs)
-    if isinstance(spec, dict):
-        merged = dict(spec)
-        try:
-            name = merged.pop("name")
-        except KeyError:
-            raise spec_needs_name_error("solver") from None
-        merged.update(kwargs)
-        return get_solver_spec(name).factory(**merged)
-    if isinstance(spec, SolverSpec):
-        return spec.factory(**kwargs)
-    if hasattr(spec, "fit") and hasattr(spec, "iterate"):
-        if kwargs:
-            raise prebuilt_override_error("solver")
-        return spec
-    raise TypeError(f"cannot build a solver from {type(spec).__name__}")
+#: Every registered solver; a built solver is anything with ``fit`` and ``iterate``.
+SOLVERS = Registry("solver", lambda obj: hasattr(obj, "fit") and hasattr(obj, "iterate"))
+register_solver = SOLVERS.register
+make_solver = SOLVERS.make
+get_solver_spec = SOLVERS.get
+solver_names = SOLVERS.names
+solver_catalogue = SOLVERS.catalogue
 
 
 # ---------------------------------------------------------------------- #

@@ -36,9 +36,8 @@ import numpy as np
 from repro.comm.reduction import ReductionScheme
 from repro.core.als_base import starting_factors
 from repro.core.als_su import ScaleUpALS
-from repro.core.config import ALSConfig, FitResult
+from repro.core.config import ALSConfig
 from repro.core.solver.protocol import SolverStep
-from repro.core.solver.session import TrainingSession
 from repro.gpu.machine import MultiGPUMachine
 from repro.gpu.specs import TITAN_X, DeviceSpec
 from repro.sparse.csr import CSRMatrix
@@ -47,8 +46,14 @@ from repro.sparse.partition import partition_bounds
 __all__ = ["StreamingALS"]
 
 
-class StreamingALS:
-    """Minibatch ALS over rating chunks arriving as task-graph waves."""
+class StreamingALS(ScaleUpALS):
+    """Minibatch ALS over rating chunks arriving as task-graph waves.
+
+    Each chunk update is an SU-ALS update pass over a row slice, so this
+    solver is a :class:`~repro.core.als_su.ScaleUpALS` that replaces only
+    :meth:`iterate`; traces, trace export, the breakdown and ``fit`` are
+    SU-ALS's own.
+    """
 
     name = "streaming-als"
 
@@ -65,31 +70,9 @@ class StreamingALS:
     ):
         if n_chunks < 1:
             raise ValueError("n_chunks must be >= 1")
-        self.config = config
-        self.machine = machine or MultiGPUMachine(n_gpus=n_gpus, spec=spec)
+        super().__init__(config, machine=machine, n_gpus=n_gpus, spec=spec, reduction=reduction, scheduler=scheduler, verify=verify)
         self.n_chunks = n_chunks
-        # The chunk updates are SU update passes over row slices; the
-        # inner solver shares this solver's machine and scheduler.
-        self._inner = ScaleUpALS(
-            config,
-            machine=self.machine,
-            reduction=reduction,
-            scheduler=scheduler,
-            verify=verify,
-        )
-        self.scheduler = self._inner.scheduler
-        self.verify = verify
 
-    @property
-    def traces(self):
-        """Execution traces of every wave run so far (via the inner solver)."""
-        return self._inner.traces
-
-    def export_trace(self, path: str | None = None):
-        """Merge the wave traces; write chrome-tracing JSON when ``path``."""
-        return self._inner.export_trace(path)
-
-    # ------------------------------------------------------------------ #
     def iterate(
         self,
         train: CSRMatrix,
@@ -108,7 +91,7 @@ class StreamingALS:
         cfg = self.config
         m, n = train.shape
         x, theta = starting_factors(train, cfg, x0, theta0)
-        self._inner.traces = []
+        self.traces = []
         yield SolverStep(x, theta)
 
         chunks = min(self.n_chunks, m) if m else 1
@@ -122,29 +105,10 @@ class StreamingALS:
             if hi > lo:
                 chunk_rows = train.row_slice(lo, hi)
                 x = x.copy()
-                x[lo:hi] = self._inner._update_pass(chunk_rows, theta, label="x")
+                x[lo:hi] = self._update_pass(chunk_rows, theta, label="x")
             seen = train.row_slice(0, seen_hi)
             seen_t = seen.to_csc().transpose_csr()
-            theta = self._inner._update_pass(seen_t, x[:seen_hi], label="theta")
+            theta = self._update_pass(seen_t, x[:seen_hi], label="theta")
             elapsed = self.machine.elapsed_seconds()
             yield SolverStep(x, theta, seconds=elapsed - mark)
             mark = elapsed
-
-    def finalize_result(self, result: FitResult) -> FitResult:
-        """Attach the machine's per-kernel/transfer breakdown."""
-        result.breakdown = self.machine.clock.breakdown()
-        return result
-
-    def fit(
-        self,
-        train: CSRMatrix,
-        test: CSRMatrix | None = None,
-        *,
-        x0: np.ndarray | None = None,
-        theta0: np.ndarray | None = None,
-        compute_objective: bool = False,
-    ) -> FitResult:
-        """Run streaming ALS; the history carries simulated seconds."""
-        return TrainingSession(self).run(
-            train, test, x0=x0, theta0=theta0, compute_objective=compute_objective
-        )

@@ -20,6 +20,7 @@ __all__ = [
     "prebuilt_override_error",
     "require",
     "spec_needs_name_error",
+    "unbuildable_error",
     "unknown_name_error",
     "validate_hyperparameters",
 ]
@@ -44,15 +45,12 @@ MESSAGES = {
 
 
 def unknown_name_error(kind: str, name: object, known: Iterable[str]) -> ValueError:
-    """The one unknown-registry-name error, identical for every registry.
+    """The one unknown-registry-name error.
 
-    All three declarative registries — solvers
-    (:mod:`repro.core.solver.registry`), routers
-    (:mod:`repro.serving.routing`) and schedulers
-    (:mod:`repro.core.schedule`) — raise exactly this shape on an
-    unrecognised name, so callers can match ``unknown solver`` /
-    ``unknown router`` / ``unknown scheduler`` without caring which
-    registry rejected it::
+    Every :class:`~repro.core.registry.Registry` — solvers, schedulers and
+    routers — raises it on an unrecognised name with its own label, so
+    callers can match ``unknown solver`` / ``unknown router`` /
+    ``unknown scheduler``::
 
         unknown solver 'mos'; choose from ['base', 'ccd++', ...]
         unknown router 'rand'; choose from ['least-loaded', 'll', ...]
@@ -93,6 +91,11 @@ def prebuilt_override_error(kind: str) -> ValueError:
 def factory_arguments_error(kind: str, name: str, exc: Exception) -> ValueError:
     """The one bad-factory-keywords error, wrapping the factory's TypeError."""
     return ValueError(f"invalid arguments for {kind} {name!r}: {exc}")
+
+
+def unbuildable_error(kind: str, obj: object) -> TypeError:
+    """The one error for an object a registry cannot build a component from."""
+    return TypeError(f"cannot build a {kind} from {type(obj).__name__}")
 
 
 def validate_hyperparameters(

@@ -2,9 +2,8 @@
 
 Every driver returns plain data structures (lists of dicts) so that the
 benchmark harness under ``benchmarks/`` can both print the regenerated
-rows/series and assert the qualitative shape the paper reports.  See
-DESIGN.md §4 for the experiment index and EXPERIMENTS.md for the measured
-paper-vs-reproduction comparison.
+rows/series and assert the qualitative shape the paper reports; the
+README's "Tests and benchmarks" section says how to regenerate them.
 """
 
 from repro.experiments import common

@@ -1,6 +1,6 @@
 """Shared utilities for the experiment drivers.
 
-The convergence experiments combine two ingredients (see DESIGN.md):
+The convergence experiments combine two ingredients:
 
 * **real numerics at laptop scale** — a scaled-down synthetic workload
   that is actually factorized, giving a genuine RMSE-per-iteration (or

@@ -42,9 +42,10 @@ package is that missing online half:
   :meth:`CuMF.serve`.
 * :mod:`~repro.serving.routing` — routing policies as a registry: the
   runtime-checkable :class:`Router` protocol, the built-in policies
-  (round-robin / least-loaded / power-of-two-choices), and
-  :func:`register_router` / :func:`make_router` mirroring the solver
-  registry, so custom policies work everywhere a name is accepted.
+  (round-robin / least-loaded / power-of-two-choices), and the
+  :data:`ROUTERS` table (:func:`register_router` / :func:`make_router`),
+  one :class:`~repro.core.registry.Registry` like the solver and
+  scheduler tables, so custom policies work everywhere a name is accepted.
 * :mod:`~repro.serving.tenancy` — multi-tenant SLO serving: per-tenant
   :class:`TenantPolicy` (weight, priority, rate cap, ``deadline_ms``,
   reduced-``k`` degrade), a token-bucket + weighted-fair-queueing
@@ -79,7 +80,7 @@ from repro.serving.cluster import (
     ServingCluster,
     make_router,
 )
-from repro.serving.foldin import fold_in_user, fold_in_users, validate_ratings
+from repro.serving.foldin import fold_in_user, validate_ratings
 from repro.serving.lifecycle import (
     InteractionLog,
     RefreshResult,
@@ -90,7 +91,7 @@ from repro.serving.lifecycle import (
     refresh_factors,
 )
 from repro.serving.routing import (
-    RouterSpec,
+    ROUTERS,
     get_router_spec,
     register_router,
     router_catalogue,
@@ -139,7 +140,7 @@ __all__ = [
     "ServingStats",
     "ServingCluster",
     "Router",
-    "RouterSpec",
+    "ROUTERS",
     "RoundRobinRouter",
     "LeastLoadedRouter",
     "PowerOfTwoRouter",
@@ -154,7 +155,6 @@ __all__ = [
     "TenantReport",
     "build_tenant_reports",
     "fold_in_user",
-    "fold_in_users",
     "validate_ratings",
     "QueryTrace",
     "RequestSimulator",

@@ -9,7 +9,8 @@ equations ALS solves for every user row (eq. 2 of the paper):
 so a fold-in reuses :func:`~repro.core.hermitian.compute_hermitians` and
 :func:`~repro.core.hermitian.batch_solve` verbatim and is numerically
 identical to one Base-ALS user update on the same ratings row — the
-property the serving tests pin down to 1e-8.
+property the serving tests pin down to 1e-8.  Many rows at once (the
+refresh path) are one :func:`~repro.core.hermitian.update_factor` pass.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from repro.core.hermitian import batch_solve, compute_hermitians
 from repro.core.validation import MESSAGES, require
 from repro.sparse.csr import CSRMatrix
 
-__all__ = ["fold_in_user", "fold_in_users", "validate_ratings"]
+__all__ = ["fold_in_user", "validate_ratings"]
 
 
 def validate_ratings(
@@ -53,24 +54,6 @@ def validate_ratings(
     return items, ratings
 
 
-def fold_in_users(
-    rows: CSRMatrix, theta: np.ndarray, lam: float, weighted: bool = True
-) -> np.ndarray:
-    """Solve one factor per row of ``rows`` against the frozen ``theta``.
-
-    ``rows`` is a ``(b, n_items)`` CSR matrix holding the new users'
-    ratings; the result has shape ``(b, f)``.  Users with no ratings get
-    the zero factor (the regularized solution of an empty system).
-    """
-    theta = np.asarray(theta, dtype=np.float64)
-    if rows.shape[1] != theta.shape[0]:
-        raise ValueError(
-            f"ratings have {rows.shape[1]} items but theta has {theta.shape[0]} rows"
-        )
-    a, b = compute_hermitians(rows, theta, lam, weighted=weighted)
-    return batch_solve(a, b)
-
-
 def fold_in_user(
     items: np.ndarray,
     ratings: np.ndarray,
@@ -80,11 +63,16 @@ def fold_in_user(
 ) -> np.ndarray:
     """Fold in a single user from aligned ``(items, ratings)`` arrays.
 
-    Returns the ``(f,)`` factor vector.  Duplicate item ids are summed,
-    matching the CSR deduplication the trainer applies to its input.
+    Returns the ``(f,)`` factor vector: the one-row case of
+    :func:`~repro.core.hermitian.update_factor`.  Users with no ratings get
+    the zero factor (the regularized solution of an empty system).
+    Duplicate item ids are summed, matching the CSR deduplication the
+    trainer applies to its input.
     """
     theta = np.asarray(theta, dtype=np.float64)
     n = theta.shape[0]
     items, ratings = validate_ratings(items, ratings, n)
     row = CSRMatrix.from_arrays((1, n), np.zeros_like(items), items, ratings)
-    return fold_in_users(row, theta, lam, weighted=weighted)[0]
+    # The kernels are called by this module's names, not through
+    # update_factor: perfbench's traced run wraps them here.
+    return batch_solve(*compute_hermitians(row, theta, lam, weighted=weighted))[0]

@@ -10,13 +10,13 @@ refresh step instead:
    the user/item axes to cover fold-in users and brand-new items;
 2. folds in **new items**: each item column that appeared after training
    gets a θ row solved against the frozen X — one Base-ALS item update,
-   via the very same normal-equations kernels
-   (:func:`~repro.core.hermitian.compute_hermitians` /
-   :func:`~repro.core.hermitian.batch_solve`) training uses;
+   run by the training pass itself
+   (:func:`~repro.core.hermitian.update_factor`);
 3. re-solves **only the affected user rows** (the users in the log,
-   fold-ins included) against the frozen, item-extended Θ.
+   fold-ins included) against the frozen, item-extended Θ, with the
+   same pass.
 
-Because steps 2–3 run the training kernels on the merged matrix, every
+Because steps 2–3 run the training pass on the merged matrix, every
 refreshed row equals the corresponding row of a full
 :func:`~repro.core.hermitian.update_factor` pass over the same inputs to
 machine precision — the property the rollout benchmark pins to 1e-8.
@@ -41,9 +41,9 @@ from typing import Iterator
 import numpy as np
 
 from repro.core.config import FitResult
+from repro.core.hermitian import update_factor
 from repro.core.solver.protocol import SolverStep
 from repro.core.solver.session import TrainingSession
-from repro.serving.foldin import fold_in_users
 from repro.serving.lifecycle.log import InteractionLog
 from repro.sparse.csr import CSRMatrix
 
@@ -171,7 +171,7 @@ def refresh_factors(
     new_items = np.arange(n_base_items, n_new, dtype=np.int64)
     if new_items.size:
         item_rows = merged.transpose().row_slice(n_base_items, n_new)
-        theta_out = np.vstack([theta, fold_in_users(item_rows, x_frozen, lam, weighted=weighted)])
+        theta_out = np.vstack([theta, update_factor(item_rows, x_frozen, lam, weighted=weighted)])
     else:
         theta_out = theta.copy()
 
@@ -181,9 +181,7 @@ def refresh_factors(
     affected = log.affected_users()
     x_out = x_frozen.copy()
     if affected.size:
-        x_out[affected] = fold_in_users(
-            _gather_rows(merged, affected), theta_out, lam, weighted=weighted
-        )
+        x_out[affected] = update_factor(_gather_rows(merged, affected), theta_out, lam, weighted=weighted)
     return RefreshResult(
         x=x_out,
         theta=theta_out,

@@ -89,6 +89,32 @@ class TestRuleTriggers:
         source = "from repro.core.solver import registry\n\ndef register_widget(name, spec):\n    registry._REGISTRY[name] = spec\n"
         assert rules_of(lint_as(source, "src/repro/widgets/catalogue.py")) == {"REP005"}
 
+    def test_rep005_registry_tables_mutated_from_another_module(self):
+        source = "from repro.core.solver.registry import SOLVERS\n\ndef sneak(name, spec):\n    SOLVERS._specs[name] = spec\n"
+        assert rules_of(lint_as(source, "src/repro/widgets/catalogue.py")) == {"REP005"}
+        # A register_* function elsewhere does not own another object's tables.
+        for line in ("SOLVERS._specs[name] = spec", "SOLVERS._aliases.pop(name)", "del SOLVERS._aliases[name]"):
+            source = f"from repro.core.solver.registry import SOLVERS\n\ndef register_widget(name, spec):\n    {line}\n"
+            assert rules_of(lint_as(source, "src/repro/widgets/catalogue.py")) == {"REP005"}, line
+
+    def test_rep005_registry_tables_owned_by_register_and_unregister(self):
+        source = (
+            "class Registry:\n"
+            "    def register(self, name, spec):\n"
+            "        self._specs[name] = spec\n"
+            "        self._aliases[name] = name\n"
+            "\n"
+            "    def unregister(self, name):\n"
+            "        del self._specs[name]\n"
+            "        self._aliases.pop(name)\n"
+        )
+        assert lint_as(source, "src/repro/core/registry.py") == []
+        # Any other method of the class, or another class, is flagged.
+        sneaky = source + "\n    def clear(self):\n        self._specs.clear()\n"
+        assert rules_of(lint_as(sneaky, "src/repro/core/registry.py")) == {"REP005"}
+        other = source.replace("class Registry:", "class Catalogue:")
+        assert rules_of(lint_as(other, "src/repro/core/registry.py")) == {"REP005"}
+
     def test_rep006_isinstance_fork_on_protocol(self):
         source = "def dispatch(router):\n    if isinstance(router, Router):\n        return router.select([])\n"
         assert rules_of(lint_as(source, "src/repro/serving/d.py")) == {"REP006"}

@@ -12,7 +12,6 @@ from repro.serving import (
     RequestSimulator,
     ServingConfig,
     fold_in_user,
-    fold_in_users,
     validate_ratings,
 )
 from repro.sparse.csr import CSRMatrix
@@ -36,10 +35,10 @@ class TestFoldIn:
             folded = fold_in_user(items, ratings, theta, lam)
             np.testing.assert_allclose(folded, reference[u], rtol=0, atol=1e-8)
 
-    def test_fold_in_users_matches_single(self, fitted, tiny_ratings):
+    def test_batched_update_matches_single_fold_in(self, fitted, tiny_ratings):
         theta = fitted.result.theta
         rows = tiny_ratings.train.row_slice(0, 6)
-        batch = fold_in_users(rows, theta, fitted.config.lam)
+        batch = update_factor(rows, theta, fitted.config.lam)
         for u in range(6):
             items, ratings = rows.row(u)
             single = fold_in_user(items, ratings, theta, fitted.config.lam)
@@ -59,8 +58,8 @@ class TestFoldIn:
             fold_in_user(np.array([theta.shape[0]]), np.array([1.0]), theta, 0.05)
         with pytest.raises(ValueError, match="integer"):
             fold_in_user(np.array([1.5]), np.array([1.0]), theta, 0.05)
-        with pytest.raises(ValueError, match="items"):
-            fold_in_users(CSRMatrix.from_dense(np.ones((2, theta.shape[0] + 1))), theta, 0.05)
+        with pytest.raises(ValueError, match="one row per column"):
+            update_factor(CSRMatrix.from_dense(np.ones((2, theta.shape[0] + 1))), theta, 0.05)
 
     def test_store_fold_in_is_servable(self, fitted, tiny_ratings):
         store = fitted.serve(ServingConfig(n_shards=2, log=False)).backend.replicas[0]

@@ -33,7 +33,7 @@ from repro.serving import (
     register_router,
     router_names,
 )
-from repro.serving.routing import Router, get_router_spec
+from repro.serving.routing import ROUTERS, Router, get_router_spec
 from repro.serving.store import FactorStore
 
 F = 8
@@ -638,10 +638,7 @@ class TestRouterRegistry:
             with pytest.raises(ValueError, match="router name already registered"):
                 register_router("sticky", StickyRouter)
         finally:
-            from repro.serving import routing
-
-            routing._REGISTRY.pop("sticky", None)
-            routing._ALIASES.pop("pin", None)
+            ROUTERS.unregister("sticky")
 
     def test_config_rejects_unknown_router_at_config_time(self):
         with pytest.raises(ValueError, match="unknown router"):
