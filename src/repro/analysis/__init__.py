@@ -17,8 +17,21 @@ execution; they are also importable standalone for tests and tools.
 """
 
 from repro.analysis.hazards import GRAPH_RULES, Hazard, HazardError, analyze_graph, check_graph
-from repro.analysis.lint import LINT_RULES, Finding, lint_paths, lint_source
 from repro.analysis.verify import TRACE_RULES, check_trace, verify_trace
+
+# reprolint loads on first use: ``python -m repro.analysis.lint`` imports
+# this package before running the module, and importing it here as well
+# would load it twice (runpy warns about exactly that).
+_LINT_NAMES = frozenset({"LINT_RULES", "Finding", "lint_paths", "lint_source"})
+
+
+def __getattr__(name: str):
+    if name in _LINT_NAMES:
+        from repro.analysis import lint
+
+        return getattr(lint, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "GRAPH_RULES",

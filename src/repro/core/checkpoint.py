@@ -67,7 +67,10 @@ class CheckpointManager:
             raise ValueError(f"reserved checkpoint keys: {sorted(reserved)}")
         path = self._path(iteration)
         tmp = path + ".tmp"
-        np.savez_compressed(tmp, iteration=np.int64(iteration), x=np.asarray(x), theta=np.asarray(theta), **extras)
+        # Uncompressed: factor matrices barely compress and zlib would cost
+        # more than the write itself.  np.load reads either layout, so
+        # compressed files written earlier still load.
+        np.savez(tmp, iteration=np.int64(iteration), x=np.asarray(x), theta=np.asarray(theta), **extras)
         tmp_real = tmp if os.path.exists(tmp) else tmp + ".npz"
         os.replace(tmp_real, path)
         self._prune()

@@ -25,6 +25,8 @@ snapshot, rollout, rollback).
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 import repro.obs as obs
@@ -36,6 +38,9 @@ from repro.core.solver import CheckpointCallback, TrainingSession, get_solver_sp
 from repro.gpu.machine import MultiGPUMachine
 from repro.gpu.specs import TITAN_X, DeviceSpec
 from repro.sparse.csr import CSRMatrix
+
+if TYPE_CHECKING:
+    from repro.serving.store import TopK
 
 __all__ = ["CuMF"]
 
@@ -331,9 +336,10 @@ class CuMF:
         k: int = 10,
         exclude: CSRMatrix | None = None,
         user_block: int = 512,
-    ) -> list[list[tuple[int, float]]]:
-        """Batched top-``k``: one recommendation list per user in ``users``.
+    ) -> TopK:
+        """Batched top-``k``: a :class:`~repro.serving.store.TopK` over ``users``.
 
+        Indexing the result gives one recommendation list per user.
         ``user_block`` bounds the ``block × n_items`` score buffer, exactly
         as on :meth:`FactorStore.recommend_batch`.
         """

@@ -57,6 +57,9 @@ class MachineTopology:
     links: list[Link] = field(default_factory=list)
     gpu_socket: dict = field(default_factory=dict)
     description: str = ""
+    # Routes found so far, valid for the (nodes, links) they were found on.
+    _routes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _routed_on: tuple = field(default=((), ()), init=False, repr=False, compare=False)
 
     # ------------------------------------------------------------------ #
     # construction
@@ -128,9 +131,25 @@ class MachineTopology:
         return adj
 
     def path(self, src: str, dst: str) -> list[Link]:
-        """Shortest path (by hop count) between two nodes, as a link list."""
+        """Shortest path (by hop count) between two nodes, as a link list.
+
+        Each route is searched once and then served from a cache, which
+        is dropped whenever ``nodes`` or ``links`` no longer hold what
+        the cached routes were found on.
+        """
         if src == dst:
             return []
+        shape = (tuple(self.nodes), tuple(self.links))
+        if shape != self._routed_on:
+            self._routes = {}
+            self._routed_on = shape
+        route = self._routes.get((src, dst))
+        if route is None:
+            route = self._routes[(src, dst)] = tuple(self._search(src, dst))
+        return list(route)
+
+    def _search(self, src: str, dst: str) -> list[Link]:
+        """Breadth-first search for a fewest-hop route from ``src`` to ``dst``."""
         adj = self._adjacency()
         if src not in adj or dst not in adj:
             raise KeyError(f"unknown node in path request: {src!r} → {dst!r}")

@@ -43,7 +43,7 @@ from repro.serving.routing import (
     make_router,
     select_replica,
 )
-from repro.serving.store import FactorStore
+from repro.serving.store import FactorStore, TopK
 
 __all__ = [
     "Router",
@@ -295,12 +295,12 @@ class ServingCluster:
         """
         return self.recommend_batch(np.array([user]), k=k, exclude=exclude)[0]
 
-    def recommend_batch(self, users: np.ndarray, k: int = 10, exclude=None, user_block: int = 512) -> list[list[tuple[int, float]]]:
+    def recommend_batch(self, users: np.ndarray, k: int = 10, exclude=None, user_block: int = 512) -> TopK:
         """Top-``k`` for a batch of users, routed to one replica.
 
         ``k`` is validated before the routing decision (same error as
         the store path); everything else is delegated to the routed
-        replica.
+        replica, whose :class:`~repro.serving.store.TopK` is returned.
         """
         if k <= 0:
             raise ValueError("k must be >= 1")

@@ -322,7 +322,7 @@ class RecommenderService:
             batch = np.atleast_1d(np.asarray(request.users))
             payload = unit.recommend_batch(
                 batch, k=k_eff, exclude=mask, user_block=request.user_block
-            )
+            ).tolist()
         except (ValueError, RuntimeError) as exc:
             return self._error("recommend", exc, replica=replica, tenant=request.tenant)
         self._counters["recommend"] += 1

@@ -9,17 +9,23 @@ training, and answers top-k queries in batches:
 
 * a batch of B users is scored against all N items in blocked matmuls
   (one GEMM per Θ shard, i.e. per device), in single precision like the
-  cuMF kernels;
-* each shard selects its local top-k candidates with ``np.argpartition``
-  and the per-user candidates are merged on the host — the classic
-  scatter/gather top-k of a sharded ANN/recommender tier;
+  cuMF kernels, into one contiguous ``B × N`` score block;
 * items a user has already rated are masked out from a CSR matrix
-  (typically the training matrix);
+  (typically the training matrix) with one vectorised gather per block;
+* the host selects each user's top-k with one ``np.argpartition`` over
+  the whole block and one sort by (descending score, ascending id), so
+  tied scores come back in a defined order;
 * every batch advances the machine's simulated clock with per-device
-  kernel and transfer estimates via :mod:`repro.gpu.kernel`, so the
+  kernel and transfer estimates via :mod:`repro.gpu.kernel` for the
+  sharded dataflow a GPU tier runs — per-shard score and select kernels,
+  a D2H copy of each shard's candidates and a host merge — so the
   batching advantage (Θ is read once per batch instead of once per
   query) is visible in simulated throughput exactly like the training
   figures.
+
+Answers come back as a :class:`TopK`: ``(ids, scores, counts)`` arrays
+that also read as one ``[(item, score), ...]`` list per user, built only
+when a caller indexes it.
 
 Factors are stored in float64 for numerics (predict, fold-in) and in a
 single-precision scoring copy for the top-k path.
@@ -28,6 +34,7 @@ single-precision scoring copy for the top-k path.
 from __future__ import annotations
 
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +50,7 @@ from repro.serving.foldin import fold_in_user, validate_ratings
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.partition import Partition1D
 
-__all__ = ["FactorStore", "ServingStats"]
+__all__ = ["FactorStore", "ServingStats", "TopK"]
 
 
 @dataclass
@@ -78,6 +85,58 @@ class ServingStats:
             "simulated_qps": self.simulated_qps(),
             "per_device_seconds": dict(self.per_device_seconds),
         }
+
+
+@dataclass(frozen=True, eq=False)
+class TopK(Sequence):
+    """Top-k answers of one batch, as arrays.
+
+    ``ids`` (int64) and ``scores`` (the store's score dtype) are
+    ``(b, kk)``, each row sorted by descending score with ties broken by
+    ascending id; ``counts[i]`` is the number of finite answers in row
+    ``i`` (excluded items sort last as ``-inf`` and are not answers).
+    Which of several items tied at the ``kk``-th score is kept is not
+    specified.
+
+    It also reads as a sequence with one ``[(item, score), ...]`` list
+    per query, built on demand, and compares equal to the list of those
+    lists — so callers that index, iterate or compare answers need not
+    know about the arrays.  The arrays are read-only.
+    """
+
+    ids: np.ndarray
+    scores: np.ndarray
+    counts: np.ndarray
+
+    def __post_init__(self):
+        for array in (self.ids, self.scores, self.counts):
+            array.setflags(write=False)
+
+    def __len__(self) -> int:
+        return self.ids.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        n = self.counts[i]
+        return list(zip(self.ids[i, :n].tolist(), self.scores[i, :n].tolist()))
+
+    def __iter__(self):
+        return iter(self.tolist())
+
+    def tolist(self) -> list[list[tuple[int, float]]]:
+        """Every query's ``[(item, score), ...]`` list."""
+        rows = zip(self.ids.tolist(), self.scores.tolist(), self.counts.tolist())
+        return [list(zip(ids[:n], scores[:n])) for ids, scores, n in rows]
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, TopK):
+            other = other.tolist()
+        elif not isinstance(other, list):
+            return NotImplemented
+        return self.tolist() == other
+
+    __hash__ = None
 
 
 def _private_factors(x: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -518,17 +577,21 @@ class FactorStore:
         k: int = 10,
         exclude: CSRMatrix | None = None,
         user_block: int = 512,
-    ) -> list[list[tuple[int, float]]]:
+    ) -> TopK:
         """Top-``k`` items for every user in ``users``.
 
-        Returns one ``[(item, score), ...]`` list per query, sorted by
-        descending score, excluded/invalid items filtered out — the same
-        contract as the single-user :meth:`recommend`.  Scoring runs in
-        blocks of ``user_block`` users to bound the ``block × n_items``
-        score buffer.
+        Returns a :class:`TopK` of ``min(k, n_items)`` columns: ids and
+        scores sorted by descending score (ties by ascending id) plus the
+        count of finite answers per query.  Indexing it gives one
+        ``[(item, score), ...]`` list per query with excluded items
+        filtered out — the same contract as the single-user
+        :meth:`recommend`.  Scoring runs in blocks of ``user_block``
+        users to bound the ``block × n_items`` score buffer.
         """
         if k <= 0:
             raise ValueError("k must be >= 1")
+        if user_block < 1:
+            raise ValueError("user_block must be >= 1")
         users = self._validate_users(users)
         if exclude is not None:
             if exclude.shape[1] != self.n_items:
@@ -539,67 +602,55 @@ class FactorStore:
                     f"was trained on {self._n_trained_users} users"
                 )
         kk = min(k, self.n_items)
-        out: list[list[tuple[int, float]]] = []
+        ids = np.empty((users.size, kk), dtype=np.int64)
+        scores = np.empty((users.size, kk), dtype=self.score_dtype)
         for start in range(0, users.size, user_block):
-            block = users[start : start + user_block]
-            ids, vals = self._topk_block(block, kk, exclude)
-            for row_ids, row_vals in zip(ids, vals):
-                out.append(
-                    [
-                        (int(i), float(v))
-                        for i, v in zip(row_ids, row_vals)
-                        if np.isfinite(v)
-                    ]
-                )
-        return out
+            stop = start + user_block
+            ids[start:stop], scores[start:stop] = self._topk_block(users[start:stop], kk, exclude)
+        return TopK(ids, scores, np.isfinite(scores).sum(axis=1))
 
-    def _seen_items(self, user: int, exclude: CSRMatrix) -> np.ndarray:
-        """Items to mask for ``user``: its CSR row, or its fold-in ratings."""
-        if user < self._n_trained_users:
-            return exclude.row(user)[0]
-        return self._folded_items.get(user, np.empty(0, dtype=np.int64))
+    def _mask_seen(self, scores: np.ndarray, block: np.ndarray, exclude: CSRMatrix) -> None:
+        """Set every item a block's user has already seen to ``-inf``.
+
+        Trained users mask their row of ``exclude``: all those rows'
+        entries are gathered in one pass and written with one fancy
+        assignment.  Folded-in users mask their fold-in ratings.
+        """
+        trained = block < self._n_trained_users
+        rows = np.flatnonzero(trained)
+        starts = exclude.indptr[block[rows]]
+        lens = exclude.indptr[block[rows] + 1] - starts
+        # Entry j of the gathered run sits at starts[row] + (j - first
+        # entry of that row in the run) in exclude.indices.
+        shift = np.repeat(starts - (np.cumsum(lens) - lens), lens)
+        scores[np.repeat(rows, lens), exclude.indices[np.arange(shift.size) + shift]] = -np.inf
+        for bi in np.flatnonzero(~trained).tolist():
+            scores[bi, self._folded_items[int(block[bi])]] = -np.inf
 
     def _topk_block(
         self, block: np.ndarray, kk: int, exclude: CSRMatrix | None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Exact top-``kk`` ids/scores for one block of users.
 
-        Each Θ shard is scored with one GEMM and selects its local
-        candidates; candidates are merged per user.  The simulated
-        per-device time of the same dataflow is charged to the machine
-        clock afterwards.
+        Each Θ shard is scored with one GEMM into a contiguous score
+        block; the host then selects over the whole block at once.  The
+        simulated per-device time of the sharded dataflow is charged to
+        the machine clock afterwards.
         """
         b = block.size
-        xb = np.ascontiguousarray(self._x_score[block])
+        xb = self._x_score[block]
         scores = np.empty((b, self.n_items), dtype=self.score_dtype)
         for i, shard in enumerate(self._shards):
             lo, hi = self.partition.range_of(i)
-            scores[:, lo:hi] = xb @ shard.T
+            np.matmul(xb, shard.T, out=scores[:, lo:hi])
         if exclude is not None:
-            neg = -np.inf
-            for bi, user in enumerate(block):
-                seen = self._seen_items(int(user), exclude)
-                if seen.size:
-                    scores[bi, seen] = neg
+            self._mask_seen(scores, block, exclude)
 
-        cand_ids = []
-        cand_vals = []
-        for i in range(self.n_shards):
-            lo, hi = self.partition.range_of(i)
-            width = hi - lo
-            kk_i = min(kk, width)
-            sub = scores[:, lo:hi]
-            idx = np.argpartition(sub, width - kk_i, axis=1)[:, width - kk_i :]
-            cand_ids.append(idx + lo)
-            cand_vals.append(np.take_along_axis(sub, idx, axis=1))
-        ids = np.concatenate(cand_ids, axis=1)
-        vals = np.concatenate(cand_vals, axis=1)
-        if vals.shape[1] > kk:
-            sel = np.argpartition(vals, vals.shape[1] - kk, axis=1)[:, vals.shape[1] - kk :]
-            ids = np.take_along_axis(ids, sel, axis=1)
-            vals = np.take_along_axis(vals, sel, axis=1)
-        order = np.argsort(-vals, axis=1, kind="stable")
-        ids = np.take_along_axis(ids, order, axis=1)
+        kth = self.n_items - kk
+        top = np.argpartition(scores, kth, axis=1)[:, kth:]
+        vals = np.take_along_axis(scores, top, axis=1)
+        order = np.lexsort((top, -vals), axis=1)
+        ids = np.take_along_axis(top, order, axis=1)
         vals = np.take_along_axis(vals, order, axis=1)
 
         self._account_topk(b, kk)

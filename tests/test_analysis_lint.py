@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -217,6 +220,23 @@ class TestCLI:
         out = capsys.readouterr().out
         for rule in LINT_RULES:
             assert rule in out
+
+    def test_module_entry_point_runs_clean_under_warnings_as_errors(self, tmp_path):
+        """``python -W error -m repro.analysis.lint src`` exits 0 on a clean tree.
+
+        The package must not import the lint module itself, or runpy warns
+        that the module was already in ``sys.modules`` before it ran.
+        """
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "repro.analysis.lint", SRC],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
 
     def test_syntax_error_is_reported_not_raised(self, tmp_path):
         broken = tmp_path / "repro" / "gpu" / "broken.py"

@@ -6,7 +6,7 @@ import pytest
 
 from repro.gpu.machine import MultiGPUMachine
 from repro.gpu.stream import CopyStream
-from repro.gpu.topology import MachineTopology
+from repro.gpu.topology import Link, MachineTopology
 from repro.gpu.transfer import Transfer, TransferEngine
 from repro.gpu.specs import TITAN_X
 from repro.gpu.kernel import KernelProfile
@@ -51,6 +51,35 @@ class TestTopology:
     def test_needs_at_least_one_gpu(self):
         with pytest.raises(ValueError):
             MachineTopology.single_socket(0)
+
+    @pytest.mark.parametrize(
+        "topo",
+        [MachineTopology.single_socket(1), MachineTopology.single_socket(4), MachineTopology.dual_socket(2), MachineTopology.dual_socket(4)],
+        ids=lambda topo: topo.description,
+    )
+    def test_cached_routes_equal_the_search(self, topo):
+        for src in topo.nodes:
+            for dst in topo.nodes:
+                want = [] if src == dst else topo._search(src, dst)
+                assert topo.path(src, dst) == want  # fills the cache
+                assert topo.path(src, dst) == want  # served from it
+
+    def test_route_cache_follows_link_changes(self):
+        topo = MachineTopology.dual_socket(4)
+        assert [link.name for link in topo.gpu_path(0, 3)] == ["pcie-gpu0", "qpi", "pcie-gpu3"]
+        topo.links.append(Link("gpu:0", "gpu:3", 20e9, name="nvlink"))
+        assert [link.name for link in topo.gpu_path(0, 3)] == ["nvlink"]
+        topo.links = [link for link in topo.links if link.name not in ("nvlink", "qpi")]
+        with pytest.raises(ValueError, match="no path"):
+            topo.gpu_path(0, 3)
+        topo.nodes.append("gpu:9")
+        topo.links.append(Link("gpu:9", "pcie:0", 12e9, name="pcie-gpu9"))
+        assert [link.name for link in topo.path("gpu:0", "gpu:9")] == ["pcie-gpu0", "pcie-gpu9"]
+
+    def test_returned_route_is_a_private_list(self):
+        topo = MachineTopology.single_socket(2)
+        topo.gpu_path(0, 1).clear()
+        assert len(topo.gpu_path(0, 1)) == 2
 
 
 class TestTransferEngine:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import zipfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -164,6 +166,11 @@ class TestCheckpointManager:
         np.testing.assert_allclose(restored.x, x)
         np.testing.assert_allclose(restored.theta, theta)
         assert restored.iteration == 7
+
+    def test_save_writes_uncompressed_members(self, tmp_path, rng):
+        path = CheckpointManager(tmp_path).save(0, rng.normal(size=(5, 3)), rng.normal(size=(4, 3)), lam=np.float64(0.1))
+        with zipfile.ZipFile(path) as archive:
+            assert {info.compress_type for info in archive.infolist()} == {zipfile.ZIP_STORED}
 
     def test_latest_and_pruning(self, tmp_path, rng):
         mgr = CheckpointManager(tmp_path, keep=2)

@@ -227,6 +227,31 @@ class TestSnapshotRegistry:
         assert store.lam == fitted.result.config.lam
         assert store.recommend(0, k=3)
 
+    def test_compressed_snapshot_from_older_writer_still_loads(self, fitted, tmp_path):
+        """Snapshots are now written uncompressed; compressed files still load."""
+        x, theta = fitted.result.x, fitted.result.theta
+        np.savez_compressed(
+            tmp_path / "cumf_iter3.npz",
+            iteration=np.int64(3),
+            x=x,
+            theta=theta,
+            lam=np.float64(0.07),
+            weighted=np.bool_(True),
+            tag=np.str_("old"),
+            registry_version=np.int64(3),
+            protected=np.bool_(True),
+        )
+        restored = CheckpointManager(str(tmp_path)).load(3)
+        assert restored.iteration == 3 and restored.extras["registry_version"] == 3
+        np.testing.assert_array_equal(restored.theta, theta)
+        registry = SnapshotRegistry(str(tmp_path))
+        assert registry.versions() == [3]
+        snap = registry.load()
+        assert (snap.version, snap.lam, snap.tag) == (3, 0.07, "old")
+        np.testing.assert_array_equal(snap.x, x)
+        np.testing.assert_array_equal(snap.theta, theta)
+        assert registry.publish(x, theta) == 4  # a new version is written beside it
+
     def test_shared_directory_with_trainer(self, fitted, tmp_path):
         """Registry versions and trainer checkpoints must not evict each other."""
         manager = CheckpointManager(str(tmp_path), keep=2)

@@ -157,6 +157,9 @@ class TestBatchedTopK:
             store.recommend(-1)
         with pytest.raises(ValueError):
             store.recommend_batch(np.array([0]), k=0)
+        for user_block in (0, -3):
+            with pytest.raises(ValueError, match="user_block"):
+                store.recommend_batch(np.arange(4), user_block=user_block)
         bad_exclude = tiny_ratings.train.col_slice(0, 10)
         with pytest.raises(ValueError, match="one column per item"):
             store.recommend_batch(np.array([0]), exclude=bad_exclude)
